@@ -151,7 +151,7 @@ def find_global_distribution(model: EmpiricalModel) -> GlobalDistribution | None
             return None
     if not cols:
         return None
-    lhs = [[Fraction((mask >> j) & 1) for j in cols] for mask, _ in rows]
+    lhs = [[(mask >> j) & 1 for j in cols] for mask, _ in rows]
     rhs = [v for _, v in rows]
     x = exactlp.feasible_equalities(lhs, rhs)
     if x is None:
@@ -179,8 +179,8 @@ def noncontextual_fraction(model: EmpiricalModel) -> NoncontextualFraction:
     cols = _survivors(inc, vec)
     if not cols:
         return NoncontextualFraction(Fraction(0), {})
-    lhs = [[Fraction((mask >> j) & 1) for j in cols] for mask in inc.row_masks]
-    value, x = exactlp.maximize([Fraction(1)] * len(cols), lhs, vec)
+    lhs = [[(mask >> j) & 1 for j in cols] for mask in inc.row_masks]
+    value, x = exactlp.maximize([1] * len(cols), lhs, vec)
     witness = {inc.columns[j]: xj for j, xj in zip(cols, x) if xj}
     return NoncontextualFraction(value, witness)
 

@@ -380,39 +380,28 @@ def cmd_kl_test(args) -> int:
 
 def cmd_corpus(args) -> int:
     expected = corpus.expectations()
-    if args.name:
-        entry = _corpus_entry(args.name)
-        payload = entry.payload()
-        payload["name"] = entry.name
-        payload["kind"] = entry.kind
-        payload["description"] = entry.description
-        payload["expected"] = expected.get(entry.name, {})
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, f"{entry.name}.json")
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            sys.stdout.write(path + "\n")
-            return EXIT_OK
-        args.format = "json"
-        _emit(payload, args)
-        return EXIT_OK
+
+    def payload(entry: corpus.CorpusEntry) -> dict:
+        out = entry.payload()
+        out.update(name=entry.name, kind=entry.kind, description=entry.description,
+                   expected=expected.get(entry.name, {}))
+        return out
+
     if args.out:
+        chosen = [_corpus_entry(args.name)] if args.name else corpus.REGISTRY.values()
         os.makedirs(args.out, exist_ok=True)
         written = []
-        for entry in corpus.REGISTRY.values():
-            payload = entry.payload()
-            payload["name"] = entry.name
-            payload["kind"] = entry.kind
-            payload["description"] = entry.description
-            payload["expected"] = expected.get(entry.name, {})
+        for entry in chosen:
             path = os.path.join(args.out, f"{entry.name}.json")
             with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
+                json.dump(payload(entry), fh, indent=2)
                 fh.write("\n")
             written.append(path)
         sys.stdout.write("\n".join(written) + "\n")
+        return EXIT_OK
+    if args.name:
+        args.format = "json"
+        _emit(payload(_corpus_entry(args.name)), args)
         return EXIT_OK
     entries = []
     table = []

@@ -1,60 +1,93 @@
 """Exact linear programming over rationals, tableau simplex with Bland's rule.
 
-Small dense problems only; every entry is a ``fractions.Fraction``, so
-optima and witnesses are exact. Bland's pivoting rule (lowest eligible
-index for entering and leaving ties) guarantees termination under the
-degeneracy these polytopes are full of.
+Small dense problems only. The tableau is integer-preserving (Edmonds;
+Bareiss, Math. Comp. 22, 1968): rows of ``A`` are scaled to integers by
+their own LCDs and ``b`` by a common one, and every entry is then an
+integer over one common denominator ``D``, the current basis determinant.
+Positive scaling keeps the ratio test and the signs of the reduced costs,
+so Bland's rule (lowest eligible index for entering and leaving ties)
+makes the same pivots, and reaches the same vertex, as a tableau of
+fractions; it also guarantees termination under the degeneracy these
+polytopes are full of. Fractions are built only for the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """values times their least common denominator, and that denominator."""
+    fracs = [v if type(v) is int else Fraction(v) for v in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
 
 
-class _Tableau:
-    """rows of [A | I | b] with a reduced-cost row; basis tracked by index."""
-
-    def __init__(self, matrix: list[list[Fraction]], basis: list[int], cost: list[Fraction]):
-        self.matrix = matrix
-        self.basis = basis
-        self.cost = cost  # length = columns of matrix minus rhs; reduced costs
-
-    def pivot(self, row: int, col: int) -> None:
-        piv = self.matrix[row][col]
-        self.matrix[row] = [v / piv for v in self.matrix[row]]
-        for i, r in enumerate(self.matrix):
-            if i != row and r[col] != 0:
-                f = r[col]
-                self.matrix[i] = [a - f * b for a, b in zip(r, self.matrix[row])]
-        f = self.cost[col]
-        if f != 0:
-            self.cost = [a - f * b for a, b in zip(self.cost, self.matrix[row][:-1])]
-        self.basis[row] = col
-
-    def run(self) -> None:
-        ncols = len(self.cost)
-        while True:
-            enter = next((j for j in range(ncols) if self.cost[j] > 0), None)
-            if enter is None:
-                return
-            leave, best = None, None
-            for i, r in enumerate(self.matrix):
-                if r[enter] > 0:
-                    ratio = r[-1] / r[enter]
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leave]):
-                        leave, best = i, ratio
-            if leave is None:
-                raise ArithmeticError("objective unbounded")
-            self.pivot(leave, enter)
+def _integer_rows(lhs: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[int]], list[int], int]:
+    """Integer rows [A_i | b_i]: lhs row i times the LCD L_i of its entries,
+    then every b_i times one common L. Returns the rows, the L_i and L;
+    x at the vertex is then counted in units of 1/L."""
+    rows, scales, bs = [], [], []
+    for row, b in zip(lhs, rhs):
+        scaled, scale = _integer_row(row)
+        rows.append(scaled)
+        scales.append(scale)
+        bs.append(Fraction(b) * scale)
+    common = lcm(*(b.denominator for b in bs))
+    for row, b in zip(rows, bs):
+        row.append(b.numerator * (common // b.denominator))
+    return rows, scales, common
 
 
-def _as_fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in rows]
+def _simplex(rows: list[list[int]], cost: list[int]) -> tuple[list[int], int]:
+    """max cost.x over A x + s = b >= 0, x, s >= 0, from the slack basis.
+
+    ``rows`` are integer ``[A_i | b_i]`` and ``cost`` the integer reduced
+    costs of A's columns. Returns the vertex (x, s) times ``D``, and ``D``.
+    """
+    m, n = len(rows), len(cost)
+    rows = [row[:-1] + [int(i == k) for k in range(m)] + row[-1:]
+            for i, row in enumerate(rows)]
+    cost = cost + [0] * m
+    basis = [n + i for i in range(m)]
+    denom = 1
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] > 0), None)
+        if enter is None:
+            break
+        # least b_i / a_ie over a_ie > 0, compared by cross-multiplying
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave is not None:
+                    lo, hi = row[-1] * best_a, best_b * a
+                    if lo > hi or (lo == hi and basis[i] > basis[leave]):
+                        continue
+                leave, best_a, best_b = i, a, row[-1]
+        if leave is None:
+            raise ArithmeticError("objective unbounded")
+        # the pivot row keeps its entries and its pivot is the new D; each
+        # entry is D times the rational tableau's, an entry of adj(B)[A | I | b],
+        # so every // below is exact
+        prow = rows[leave]
+        p = prow[enter]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f and i != leave:
+                rows[i] = [(p * a - f * b) // denom for a, b in zip(row, prow)]
+            elif not f and p != denom:
+                rows[i] = [p * a // denom for a in row]
+        f = cost[enter]
+        cost = [(p * a - f * b) // denom for a, b in zip(cost, prow)]
+        basis[leave] = enter
+        denom = p
+    values = [0] * (n + m)
+    for row, var in zip(rows, basis):
+        values[var] = row[-1]
+    return values, denom
 
 
 def maximize(cost: Sequence, lhs: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, list[Fraction]]:
@@ -62,45 +95,27 @@ def maximize(cost: Sequence, lhs: Sequence[Sequence], rhs: Sequence) -> tuple[Fr
 
     Returns the exact optimum and an optimal vertex.
     """
-    A = _as_fractions(lhs)
-    b = [Fraction(v) for v in rhs]
-    c = [Fraction(v) for v in cost]
-    if any(v < 0 for v in b):
+    rows, _, unit = _integer_rows(lhs, rhs)
+    if any(row[-1] < 0 for row in rows):
         raise ValueError("nonnegative right-hand side required")
-    m, n = len(A), len(c)
-    matrix = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]]
-              for i in range(m)]
-    tab = _Tableau(matrix, [n + i for i in range(m)], c + [ZERO] * m)
-    tab.run()
-    x = [ZERO] * n
-    for i, var in enumerate(tab.basis):
-        if var < n:
-            x[var] = tab.matrix[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, x
+    c, scale = _integer_row(cost)
+    values, denom = _simplex(rows, c)
+    x = values[:len(c)]
+    value = Fraction(sum(cj * xj for cj, xj in zip(c, x)), scale * denom * unit)
+    return value, [Fraction(v, denom * unit) for v in x]
 
 
 def feasible_equalities(lhs: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Find x >= 0 with lhs x = rhs, or None; phase-one simplex."""
-    A = _as_fractions(lhs)
-    b = [Fraction(v) for v in rhs]
-    for i, v in enumerate(b):
-        if v < 0:
-            A[i] = [-a for a in A[i]]
-            b[i] = -v
-    m, n = len(A), len(A[0]) if A else 0
-    matrix = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]]
-              for i in range(m)]
-    # maximizing -sum(artificials); in terms of nonbasics the reduced cost
-    # of column j is the column sum of A, of artificials zero
-    cost = [sum(A[i][j] for i in range(m)) for j in range(n)] + [ZERO] * m
-    tab = _Tableau(matrix, [n + i for i in range(m)], cost)
-    tab.run()
-    for i, var in enumerate(tab.basis):
-        if var >= n and tab.matrix[i][-1] != 0:
-            return None
-    x = [ZERO] * n
-    for i, var in enumerate(tab.basis):
-        if var < n:
-            x[var] = tab.matrix[i][-1]
-    return x
+    rows, scales, unit = _integer_rows(lhs, rhs)
+    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
+    n = len(rows[0]) - 1 if rows else 0
+    # maximizing -sum(artificials), column j's reduced cost is the column
+    # sum of the sign-corrected A; here times the LCD of the row scales
+    common = lcm(*scales)
+    weights = [common // s for s in scales]
+    cost = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+    values, denom = _simplex(rows, cost)
+    if any(values[n:]):
+        return None
+    return [Fraction(v, denom * unit) for v in values[:n]]

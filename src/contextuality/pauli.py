@@ -385,10 +385,7 @@ class DeterminingTree:
 
 def find_determining_tree(x: PauliOperator, s: PauliSet) -> DeterminingTree | None:
     """A determining tree for x over s, or None when x escapes the closure."""
-    try:
-        elements, deriv = _closure_with_derivations(s)
-    except ClosureLimitError:
-        raise
+    _, deriv = _closure_with_derivations(s)
     if x not in deriv:
         return None
     return _replay_tree(x, s, deriv, {})

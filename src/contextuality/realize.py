@@ -201,7 +201,6 @@ def born_distribution(psi: StateVector, ops: Sequence[PauliOperator],
     context, ordered = _sorted_context(ops, labels)
     branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), psi.amplitudes)]
     for op in ordered:
-        applied = {}
         nxt = []
         for outs, vec in branches:
             pv = _apply_pauli(op, vec)

@@ -164,9 +164,6 @@ class MeasurementScenario:
         labs = self.measurements if labels is None else tuple(labels)
         return enumerate_assignments(labs, self.outcomes)
 
-    def context_sized(self) -> int:
-        return len(self.contexts)
-
 
 @dataclass(frozen=True)
 class ScenarioViolation:

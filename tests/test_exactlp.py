@@ -90,3 +90,143 @@ def test_feasible_equalities_random_consistency():
         assert all(sum(a * xi for a, xi in zip(row, x)) == b
                    for row, b in zip(lhs, rhs))
         assert all(xi >= 0 for xi in x)
+
+
+def test_maximize_unbounded_raises():
+    # x - y <= 1 leaves x + y free to grow along x = y
+    with pytest.raises(ArithmeticError, match="objective unbounded"):
+        maximize([1, 1], [[1, -1]], [1])
+    with pytest.raises(ArithmeticError, match="objective unbounded"):
+        maximize([1], [], [])
+
+
+# ---------------------------------------------------------------- reference
+# A tableau of Fractions with the same Bland rule, kept as the oracle for
+# the integer-preserving engine: same pivots, so the same optimum and vertex.
+
+def _bland(matrix, cost):
+    """Pivot [A | I | b] rows to optimality; returns the final basis and rows."""
+    m = len(matrix)
+    basis = [len(cost) - m + i for i in range(m)]
+    while True:
+        enter = next((j for j, c in enumerate(cost) if c > 0), None)
+        if enter is None:
+            return basis, matrix
+        # lowest ratio, ties to the lowest basic variable index
+        ratios = [(r[-1] / r[enter], basis[i], i) for i, r in enumerate(matrix) if r[enter] > 0]
+        if not ratios:
+            raise ArithmeticError("objective unbounded")
+        leave = min(ratios)[2]
+        prow = [v / matrix[leave][enter] for v in matrix[leave]]
+        matrix = [prow if i == leave else [a - r[enter] * b for a, b in zip(r, prow)]
+                  for i, r in enumerate(matrix)]
+        cost = [a - cost[enter] * b for a, b in zip(cost, prow)]
+        basis[leave] = enter
+
+
+def _slack_tableau(lhs, rhs):
+    m = len(lhs)
+    return [[Fraction(v) for v in row] + [Fraction(int(i == k)) for k in range(m)] + [Fraction(b)]
+            for i, (row, b) in enumerate(zip(lhs, rhs))]
+
+
+def _vertex(basis, matrix, n):
+    x = [Fraction(0)] * n
+    for var, row in zip(basis, matrix):
+        if var < n:
+            x[var] = row[-1]
+    return x
+
+
+def reference_maximize(cost, lhs, rhs):
+    c = [Fraction(v) for v in cost]
+    basis, matrix = _bland(_slack_tableau(lhs, rhs), c + [Fraction(0)] * len(lhs))
+    x = _vertex(basis, matrix, len(c))
+    return sum(ci * xi for ci, xi in zip(c, x)), x
+
+
+def reference_feasible_equalities(lhs, rhs):
+    flipped = [([-Fraction(v) for v in row], -Fraction(b)) if Fraction(b) < 0 else (row, b)
+               for row, b in zip(lhs, rhs)]
+    lhs, rhs = [row for row, _ in flipped], [b for _, b in flipped]
+    n, m = len(lhs[0]), len(lhs)
+    cost = [sum(Fraction(row[j]) for row in lhs) for j in range(n)] + [Fraction(0)] * m
+    basis, matrix = _bland(_slack_tableau(lhs, rhs), cost)
+    if any(var >= n and row[-1] for var, row in zip(basis, matrix)):
+        return None
+    return _vertex(basis, matrix, n)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+def _entry(rng, rational):
+    """An integer in [-2, 3], or with `rational` also a non-integer fraction."""
+    if rational and rng.random() < 0.4:
+        return Fraction(rng.randrange(-7, 8), rng.randrange(2, 6))
+    return rng.randrange(-2, 4)
+
+
+def _random_lp(rng, rational):
+    n, m = rng.randrange(1, 6), rng.randrange(1, 6)
+    kind = rng.randrange(3)
+    if kind == 0:  # 0/1 incidence rows, as in the noncontextual-fraction LP
+        lhs = [[rng.randrange(2) for _ in range(n)] for _ in range(m)]
+    else:
+        lhs = [[_entry(rng, rational) for _ in range(n)] for _ in range(m)]
+    # zeros on the right make degenerate vertices; kind 2 costs nothing
+    rhs = [Fraction(rng.randrange(0, 5), rng.randrange(1, 4)) if rng.random() < 0.7 else 0
+           for _ in range(m)]
+    cost = [0] * n if kind == 2 else [_entry(rng, rational) for _ in range(n)]
+    return cost, lhs, rhs
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_maximize_matches_fraction_tableau(rational):
+    rng = random.Random(31 + rational)
+    unbounded = 0
+    for _ in range(300):
+        cost, lhs, rhs = _random_lp(rng, rational)
+        got = _outcome(maximize, cost, lhs, rhs)
+        assert got == _outcome(reference_maximize, cost, lhs, rhs)
+        unbounded += isinstance(got, str)
+    assert 0 < unbounded < 300
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_feasible_equalities_matches_fraction_tableau(rational):
+    rng = random.Random(41 + rational)
+    infeasible = 0
+    for _ in range(300):
+        _, lhs, rhs = _random_lp(rng, rational)
+        if rng.random() < 0.5:  # a consistent right-hand side, signed
+            hidden = [Fraction(rng.randrange(0, 4), rng.randrange(1, 4)) for _ in lhs[0]]
+            rhs = [sum(a * x for a, x in zip(row, hidden)) for row in lhs]
+        else:
+            rhs = [b * rng.choice((-1, 1)) for b in rhs]
+        got = feasible_equalities(lhs, rhs)
+        assert got == reference_feasible_equalities(lhs, rhs)
+        infeasible += got is None
+    assert 0 < infeasible < 300
+
+
+def test_maximize_matches_fraction_tableau_on_bell_lps():
+    # the noncontextual-fraction LP, max |X| subject to M X <= V, X >= 0,
+    # on mixtures of the CHSH table and the PR box
+    from contextuality.analysis import build_incidence, model_vector
+    from contextuality.corpus import chsh_model, pr_box
+    from contextuality.empirical import convex_mix
+
+    rng = random.Random(51)
+    chsh, box = chsh_model(), pr_box()
+    inc = build_incidence(chsh.scenario)
+    n = len(inc.columns)
+    lhs = [[(mask >> j) & 1 for j in range(n)] for mask in inc.row_masks]
+    for _ in range(10):
+        model = convex_mix(chsh, box, Fraction(rng.randrange(0, 9), 8))
+        vec = model_vector(model, inc)
+        assert maximize([1] * n, lhs, vec) == reference_maximize([1] * n, lhs, vec)
