@@ -65,9 +65,6 @@ class IncidenceMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.row_index), len(self.columns)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_masks[i] >> j) & 1
-
 
 def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
     """Assemble M in canonical row and column enumeration order."""

@@ -420,13 +420,9 @@ def cmd_corpus(args) -> int:
 # ----------------------------------------------------------- conjecture-scan
 
 def _positive_paulis(num_qubits: int) -> list[PauliOperator]:
-    ops = []
-    for x in range(1 << num_qubits):
-        for z in range(1 << num_qubits):
-            if x or z:
-                phase = bin(x & z).count("1") % 4
-                ops.append(PauliOperator(num_qubits, phase, x, z))
-    return [op for op in ops if op.is_hermitian() and op.sign_exponent() == 0]
+    # phase = Y count gives sign exponent 0: the unsigned letter words
+    return [PauliOperator(num_qubits, (x & z).bit_count(), x, z)
+            for x in range(1 << num_qubits) for z in range(1 << num_qubits) if x or z]
 
 
 def _random_rational_state(dim: int, rng: random.Random):
@@ -507,6 +503,8 @@ def cmd_conjecture_scan(args) -> int:
         raise ValidationError("max-qubits must be between 1 and 3")
     if not 2 <= k <= 8:
         raise ValidationError("set-size must be between 2 and 8")
+    if not 0 <= args.states <= 100:
+        raise ValidationError("states must be between 0 and 100")
     pool = _positive_paulis(n)
     rng = random.Random(args.seed)
     if args.exhaustive:
@@ -644,7 +642,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=50,
                    help="random subsets to draw (ignored with --exhaustive)")
     p.add_argument("--states", type=int, default=2,
-                   help="random rational probe states per subset")
+                   help="random rational probe states per subset (0-100)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate every subset of the given size")

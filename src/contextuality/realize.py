@@ -1,18 +1,26 @@
 """Realizing empirical models from quantum states by the Born rule.
 
-Dense statevector simulation for up to 10 qubits. A context of commuting
-Hermitian Paulis (or of single-qubit equatorial observables) is measured
-by sequential eigenprojections; eigenvalue +1 records outcome 0 and -1
-records outcome 1.
+Dense statevectors on up to 10 qubits. A context of k commuting Hermitian
+Paulis is measured through its 2^k subset products P_T, the products of
+the members in each subset T; eigenvalue +1 records outcome 0 and -1
+records outcome 1, so that
 
-Probabilities are computed in floating point and then snapped to the
-nearest rational with denominator at most 2^16. If any weight sits
-further than 1e-9 from such a rational, exactification is refused and a
-float-tagged distribution is returned instead; float-tagged rows never
-enter the exact analysis stack. A separate all-rational Born path takes
-states with rational real and imaginary parts (not necessarily
-normalized) and yields exact distributions directly; random rational
-states keep the contextual-fraction bridge exactly decidable.
+    p(s) = 2^-k sum_T (-1)^(s.T) <psi|P_T|psi> / <psi|psi>.
+
+One engine evaluates this sum for every Pauli path. The exact path takes
+rational real and imaginary parts, not necessarily normalized, scales them
+to Gaussian integers and builds Fractions only for the final weights;
+random rational states keep the contextual-fraction bridge exactly
+decidable. Context eigenstates come from the same projector
+2^-k sum_T (-1)^(s.T) P_T applied to basis vectors.
+
+Floats enter only with the unit ``StateVector``, whose Pauli rows run
+through the same engine in floating point, and with equatorial observables
+cos(a) X + sin(a) Y, measured by sequential eigenprojections. Their rows
+are snapped to the nearest rational with denominator at most 2^16. If any
+weight sits further than 1e-9 from such a rational, exactification is
+refused and a float-tagged distribution is returned instead; float-tagged
+rows never enter the exact analysis stack.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -137,22 +146,63 @@ class FloatEmpiricalModel:
 
 def _index_mask(op_mask: int, num_qubits: int) -> int:
     """Qubit-bit mask to basis-index mask (qubit 0 = leftmost = MSB)."""
-    out = 0
-    for j in range(num_qubits):
-        if (op_mask >> j) & 1:
-            out |= 1 << (num_qubits - 1 - j)
-    return out
+    return sum(1 << (num_qubits - 1 - j) for j in range(num_qubits) if (op_mask >> j) & 1)
 
 
-def _apply_pauli(op: PauliOperator, amps: np.ndarray) -> np.ndarray:
+def _check_context(ops: Sequence[PauliOperator], num_qubits: int) -> None:
+    for op in ops:
+        if op.num_qubits != num_qubits:
+            raise ValidationError(f"{op} does not act on {num_qubits} qubits")
+        if not op.is_hermitian():
+            raise ValidationError(f"{op} is not an observable")
+    for i, a in enumerate(ops):
+        for b in ops[i + 1:]:
+            if not a.commutes(b):
+                raise NonCommutingContextError(f"{a} and {b} do not commute")
+
+
+def _subset_products(ops: Sequence[PauliOperator], num_qubits: int) -> list[PauliOperator]:
+    """P_T for every subset T of ``ops``; bit j of T selects ``ops[j]``."""
+    prods = [PauliOperator(num_qubits, 0, 0, 0)]
+    for op in ops:
+        prods += [p * op for p in prods]
+    return prods
+
+
+def _expectation(op: PauliOperator, re: Sequence, im: Sequence):
+    """<psi|op|psi> over parallel real and imaginary parts, ints or floats.
+
+    op|i> = i^phase (-1)^|i & z| |i ^ x> in index masks; the value is real
+    for Hermitian op, so only the real part of the phased sum is formed.
+    """
     n = op.num_qubits
-    xm = _index_mask(op.x, n)
-    zm = _index_mask(op.z, n)
-    idx = np.arange(amps.size)
-    signs = np.array([1 - 2 * (bin(i & zm).count("1") & 1) for i in range(amps.size)])
-    out = np.zeros_like(amps)
-    out[idx ^ xm] = (1j ** op.phase) * signs * amps
-    return out
+    xm, zm = _index_mask(op.x, n), _index_mask(op.z, n)
+    odd = op.phase & 1
+    total = 0
+    for i in range(len(re)):
+        j = i ^ xm
+        term = re[j] * im[i] - im[j] * re[i] if odd else re[j] * re[i] + im[j] * im[i]
+        total += -term if (i & zm).bit_count() & 1 else term
+    return -total if op.phase in (1, 2) else total
+
+
+def _born_row(re: Sequence, im: Sequence, context: Context,
+              ordered: Sequence[PauliOperator], ratio) -> dict[Assignment, object]:
+    """p(s) = 2^-k sum_T (-1)^(s.T) <P_T> / <psi|psi> for every outcome s.
+
+    The sum over T is a Walsh-Hadamard transform of the subset-product
+    expectations; ``ratio`` makes the final division, exact or float.
+    """
+    # reversed, so that the first member is the most significant outcome bit
+    w = [_expectation(p, re, im)
+         for p in _subset_products(ordered[::-1], ordered[0].num_qubits)]
+    scale = len(w) * w[0]  # P_T for the empty T is the identity
+    h = 1
+    while h < len(w):
+        w = [w[i] + w[i ^ h] if not i & h else w[i ^ h] - w[i] for i in range(len(w))]
+        h <<= 1
+    return {Assignment(context.members, outs): ratio(v, scale)
+            for outs, v in zip(product((0, 1), repeat=len(ordered)), w)}
 
 
 def _sorted_context(ops: Sequence[PauliOperator],
@@ -189,27 +239,12 @@ def born_distribution(psi: StateVector, ops: Sequence[PauliOperator],
     Returns an exact ContextDistribution, or a FloatDistribution when the
     probabilities are not close to small rationals.
     """
-    for op in ops:
-        if op.num_qubits != psi.num_qubits:
-            raise ValidationError(f"{op} does not act on {psi.num_qubits} qubits")
-        if not op.is_hermitian():
-            raise ValidationError(f"{op} is not an observable")
-    for i, a in enumerate(ops):
-        for b in ops[i + 1:]:
-            if not a.commutes(b):
-                raise NonCommutingContextError(f"{a} and {b} do not commute")
+    _check_context(ops, psi.num_qubits)
     context, ordered = _sorted_context(ops, labels)
-    branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), psi.amplitudes)]
-    for op in ordered:
-        nxt = []
-        for outs, vec in branches:
-            pv = _apply_pauli(op, vec)
-            for o in (0, 1):
-                half = (vec + (1 - 2 * o) * pv) / 2
-                nxt.append((outs + (o,), half))
-        branches = nxt
-    weights = {Assignment(context.members, outs): float(np.vdot(vec, vec).real)
-               for outs, vec in branches}
+    amps = psi.amplitudes
+    # rounding can leave an impossible outcome slightly below zero
+    weights = _born_row(amps.real.tolist(), amps.imag.tolist(), context, ordered,
+                        lambda v, scale: max(v / scale, 0.0))
     return _exactify(context, (0, 1), weights)
 
 
@@ -290,20 +325,6 @@ def realize_model(psi: StateVector, scenario: MeasurementScenario,
 RationalAmplitude = tuple[Fraction, Fraction]
 
 
-def _rational_apply(op: PauliOperator, vec: list[RationalAmplitude]) -> list[RationalAmplitude]:
-    n = op.num_qubits
-    xm = _index_mask(op.x, n)
-    zm = _index_mask(op.z, n)
-    out: list[RationalAmplitude] = [(Fraction(0), Fraction(0))] * len(vec)
-    for i, (re, im) in enumerate(vec):
-        for _ in range(op.phase):
-            re, im = -im, re
-        if bin(i & zm).count("1") & 1:
-            re, im = -re, -im
-        out[i ^ xm] = (re, im)
-    return out
-
-
 def born_distribution_exact(amplitudes: Sequence[RationalAmplitude],
                             ops: Sequence[PauliOperator],
                             labels: Sequence[Label] | None = None) -> ContextDistribution:
@@ -314,34 +335,15 @@ def born_distribution_exact(amplitudes: Sequence[RationalAmplitude],
     vec = [(Fraction(re), Fraction(im)) for re, im in amplitudes]
     if len(vec) != 1 << n:
         raise ValidationError(f"{len(vec)} amplitudes for {n} qubits")
-    norm = sum(re * re + im * im for re, im in vec)
-    if norm == 0:
+    if not any(re or im for re, im in vec):
         raise ValidationError("zero state")
-    for op in ops:
-        if op.num_qubits != n:
-            raise ValidationError("operators on mismatched qubit counts")
-        if not op.is_hermitian():
-            raise ValidationError(f"{op} is not an observable")
-    for i, a in enumerate(ops):
-        for b in ops[i + 1:]:
-            if not a.commutes(b):
-                raise NonCommutingContextError(f"{a} and {b} do not commute")
+    _check_context(ops, n)
     context, ordered = _sorted_context(ops, labels)
-    branches: list[tuple[tuple[int, ...], list[RationalAmplitude]]] = [((), vec)]
-    for op in ordered:
-        nxt = []
-        for outs, v in branches:
-            pv = _rational_apply(op, v)
-            for o in (0, 1):
-                sign = 1 - 2 * o
-                half = [((re + sign * pre) / 2, (im + sign * pim) / 2)
-                        for (re, im), (pre, pim) in zip(v, pv)]
-                nxt.append((outs + (o,), half))
-        branches = nxt
-    weights = {}
-    for outs, v in branches:
-        prob = sum(re * re + im * im for re, im in v) / norm
-        weights[Assignment(context.members, outs)] = prob
+    # one common denominator turns the amplitudes into Gaussian integers
+    lcd = math.lcm(*(q.denominator for pair in vec for q in pair))
+    re = [int(a * lcd) for a, _ in vec]
+    im = [int(b * lcd) for _, b in vec]
+    weights = _born_row(re, im, context, ordered, Fraction)
     return ContextDistribution(context, (0, 1), weights)
 
 
@@ -361,35 +363,31 @@ def context_eigenstate(ops: Sequence[PauliOperator],
     """A joint eigenstate of commuting observables, with rational amplitudes.
 
     ``signs[i] = 0`` asks for the +1 eigenspace of ``ops[i]`` and 1 for the
-    -1 eigenspace. Returns an unnormalized amplitude vector, or None when
-    the requested joint eigenspace is empty.
+    -1 eigenspace. Returns the projection 2^-k sum_T (-1)^(s.T) P_T |b> of
+    the first basis vector |b> it does not annihilate, unnormalized, or
+    None when the requested joint eigenspace is empty.
     """
     if not ops:
         raise ValidationError("empty context")
     n = ops[0].num_qubits
-    if signs is None:
-        signs = [0] * len(ops)
+    signs = [0] * len(ops) if signs is None else signs
     if len(signs) != len(ops):
         raise ValidationError("one sign per observable")
-    for i, a in enumerate(ops):
-        if a.num_qubits != n:
-            raise ValidationError("operators on mismatched qubit counts")
-        if not a.is_hermitian():
-            raise ValidationError(f"{a} is not an observable")
-        for b in ops[i + 1:]:
-            if not a.commutes(b):
-                raise NonCommutingContextError(f"{a} and {b} do not commute")
+    _check_context(ops, n)
+    # (1 - P)/2 projects on the -1 eigenspace of P: negate, then project on +1
+    signed = [op.negate() if s & 1 else op for op, s in zip(ops, signs)]
+    terms = [(p.phase, _index_mask(p.x, n), _index_mask(p.z, n))
+             for p in _subset_products(signed, n)]
     dim = 1 << n
-    for k in range(dim):
-        vec: list[RationalAmplitude] = [(Fraction(0), Fraction(0))] * dim
-        vec[k] = (Fraction(1), Fraction(0))
-        for op, s in zip(ops, signs):
-            pv = _rational_apply(op, vec)
-            flip = 1 - 2 * (s & 1)
-            vec = [((re + flip * pre) / 2, (im + flip * pim) / 2)
-                   for (re, im), (pre, pim) in zip(vec, pv)]
-        if any(re or im for re, im in vec):
-            return vec
+    for b in range(dim):
+        # P_T|b> = i^phase (-1)^|b & z| |b ^ x>, one basis vector per term
+        re, im = [0] * dim, [0] * dim
+        for phase, xm, zm in terms:
+            c = -1 if ((b & zm).bit_count() + phase // 2) & 1 else 1
+            (im if phase & 1 else re)[b ^ xm] += c
+        if any(re) or any(im):
+            return [(Fraction(r, len(terms)), Fraction(m, len(terms)))
+                    for r, m in zip(re, im)]
     return None
 
 
@@ -453,6 +451,8 @@ def parse_angle(text: object) -> float:
         coef_text = m.group(1)
         coef = 1.0 if coef_text in ("", "+") else -1.0 if coef_text == "-" else float(coef_text)
         denom = float(m.group(2)) if m.group(2) else 1.0
+        if denom == 0:
+            raise ParseError(f"malformed angle {text!r}")
         return coef * math.pi / denom
     try:
         return float(body)
@@ -468,7 +468,11 @@ def equatorial_from_dict(data: object) -> dict[Label, EquatorialMeasurement]:
     for label, item in data.items():
         if not isinstance(item, dict) or "party" not in item or "angle" not in item:
             raise ParseError(f"equatorial entry {label!r} needs 'party' and 'angle'")
-        out[label] = EquatorialMeasurement(int(item["party"]), parse_angle(item["angle"]))
+        try:
+            party = int(item["party"])
+        except (TypeError, ValueError):
+            raise ParseError(f"equatorial entry {label!r} has a malformed party") from None
+        out[label] = EquatorialMeasurement(party, parse_angle(item["angle"]))
     return out
 
 

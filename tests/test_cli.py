@@ -183,6 +183,18 @@ def test_realize_equatorial(tmp_path, capsys):
     assert payload["rows"]["IIX,IXI,XII"]["000"] == "1/4"
 
 
+
+@pytest.mark.parametrize("entry", [{"party": "a", "angle": 0},
+                                   {"party": 0, "angle": "pi/0"}])
+def test_realize_malformed_equatorial_exits_3(tmp_path, capsys, entry):
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(json.dumps({"XX": entry}))
+    code, out, err = run(capsys, "realize", "--state", "ghz2",
+                         "--corpus", "xz222", "--equatorial", str(eq_path))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert out == ""
+
 def test_closure_payload(capsys):
     payload = run_json(capsys, "closure", "XX", "ZZ")
     assert payload["size"] == 4
@@ -251,6 +263,22 @@ def test_conjecture_scan_deterministic(capsys):
     assert first["conjecture_holds"] is True
     assert first["sets_scanned"] == 4
 
+
+
+def test_conjecture_scan_bounds_states(capsys, monkeypatch):
+    small = ("conjecture-scan", "--max-qubits", "1", "--set-size", "2",
+             "--samples", "1")
+    for states in ("0", "100"):
+        assert run_json(capsys, *small, "--states", states)["sets_scanned"] == 1
+
+    def no_probes(*args):
+        raise AssertionError("probe states built for a rejected --states")
+
+    monkeypatch.setattr("contextuality.cli._probe_states", no_probes)
+    for states in ("-1", "101"):
+        code, out, err = run(capsys, *small, "--states", states)
+        assert code == 2
+        assert "states must be between 0 and 100" in err
 
 def test_console_script_subprocess():
     # Each fresh interpreter imports the same package this test imported.

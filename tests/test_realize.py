@@ -1,7 +1,9 @@
 """Quantum realization of empirical tables, exact and float paths."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -235,7 +237,7 @@ def test_parse_angle_forms():
     assert parse_angle("2*pi/3") == pytest.approx(2 * math.pi / 3)
     assert parse_angle("0.25") == 0.25
     assert parse_angle(2) == 2.0
-    for bad in ("pie", "", None, "pi/"):
+    for bad in ("pie", "", None, "pi/", "pi/0", "2*pi/0.0"):
         with pytest.raises(ParseError):
             parse_angle(bad)
 
@@ -260,7 +262,8 @@ def test_equatorial_json_round_trip(tmp_path):
     parsed = equatorial_from_dict(data)
     assert parsed["A"] == EquatorialMeasurement(0, math.pi / 2)
     assert parsed["B"] == EquatorialMeasurement(1, 0.0)
-    for bad in ([], {"A": {"party": 0}}, {"A": 3}):
+    for bad in ([], {"A": {"party": 0}}, {"A": 3},
+                {"A": {"party": "a", "angle": 0}}, {"A": {"party": None, "angle": 0}}):
         with pytest.raises(ParseError):
             equatorial_from_dict(bad)
 
@@ -274,3 +277,169 @@ def test_load_state_file(tmp_path):
     import json
     path.write_text(json.dumps(state_to_dict(ghz(2))))
     assert np.allclose(load_state(str(path)).amplitudes, ghz(2).amplitudes)
+
+
+# ---------------------------------------------------------------- reference
+# The apply-and-branch Fraction loop the subset-product engine replaced,
+# kept as the oracle: the same Born rows and the same eigenstates.
+
+def _reference_apply(op, vec):
+    n = op.num_qubits
+    xm = sum(1 << (n - 1 - j) for j in range(n) if (op.x >> j) & 1)
+    zm = sum(1 << (n - 1 - j) for j in range(n) if (op.z >> j) & 1)
+    out = [None] * len(vec)
+    for i, (re, im) in enumerate(vec):
+        for _ in range(op.phase):
+            re, im = -im, re
+        if bin(i & zm).count("1") & 1:
+            re, im = -re, -im
+        out[i ^ xm] = (re, im)
+    return out
+
+
+def _reference_project(op, vec, outcome):
+    sign = 1 - 2 * outcome
+    return [((re + sign * pre) / 2, (im + sign * pim) / 2)
+            for (re, im), (pre, pim) in zip(vec, _reference_apply(op, vec))]
+
+
+def reference_born_exact(amplitudes, ops, labels):
+    vec = [(Fraction(re), Fraction(im)) for re, im in amplitudes]
+    norm = sum(re * re + im * im for re, im in vec)
+    ordered = [op for _, op in sorted(zip(labels, ops))]
+    branches = [((), vec)]
+    for op in ordered:
+        branches = [(outs + (o,), _reference_project(op, v, o))
+                    for outs, v in branches for o in (0, 1)]
+    members = tuple(sorted(labels))
+    return {Assignment(members, outs): sum(re * re + im * im for re, im in v) / norm
+            for outs, v in branches}
+
+
+def reference_eigenstate(ops, signs):
+    dim = 1 << ops[0].num_qubits
+    for k in range(dim):
+        vec = [(Fraction(int(i == k)), Fraction(0)) for i in range(dim)]
+        for op, s in zip(ops, signs):
+            vec = _reference_project(op, vec, s & 1)
+        if any(re or im for re, im in vec):
+            return vec
+    return None
+
+
+def _random_word(rng, n):
+    """A Hermitian Pauli word, signed half of the time."""
+    letters = "".join(rng.choice("IXYZ") for _ in range(n))
+    return PauliOperator.from_string(rng.choice(("", "-")) + letters)
+
+
+def _random_context(rng, n):
+    """1-4 distinct commuting members, with products of members mixed in."""
+    ops = []
+    for _ in range(200):
+        if len(ops) >= rng.randrange(1, 5):
+            break
+        op = _random_word(rng, n)
+        if len(ops) >= 2 and rng.random() < 0.3:
+            op = ops[0] * ops[1]
+            op = op.negate() if rng.random() < 0.5 else op
+        if op.is_identity_like() or not op.is_hermitian():
+            continue
+        if str(op) in map(str, ops) or not all(op.commutes(o) for o in ops):
+            continue
+        ops.append(op)
+    return ops
+
+
+def _random_rational_amplitudes(rng, n):
+    while True:
+        vec = [(Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)),
+                Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)))
+               for _ in range(1 << n)]
+        if any(re or im for re, im in vec):
+            return vec
+
+
+def test_born_distribution_exact_matches_branch_loop():
+    rng = random.Random(61)
+    dependent = 0
+    for _ in range(400):
+        n = rng.randrange(1, 4)
+        ops = _random_context(rng, n)
+        labels = [str(op) for op in ops]
+        amps = _random_rational_amplitudes(rng, n)
+        row = born_distribution_exact(amps, ops)
+        assert dict(row.weights) == reference_born_exact(amps, ops, labels)
+        dependent += any(a * b in ops or (a * b).negate() in ops
+                         for a in ops for b in ops if a != b)
+    assert dependent > 20
+
+
+def test_dependent_signed_context_matches_branch_loop():
+    ops = [PauliOperator.from_string(t) for t in ("XX", "ZZ", "-YY")]
+    labels = [str(op) for op in ops]
+    rng = random.Random(62)
+    for _ in range(20):
+        amps = _random_rational_amplitudes(rng, 2)
+        row = born_distribution_exact(amps, ops)
+        assert dict(row.weights) == reference_born_exact(amps, ops, labels)
+        # XX ZZ = -YY, so an odd outcome parity never happens
+        assert all(w == 0 for s, w in row.weights.items() if sum(s.values) % 2)
+
+
+def test_context_eigenstate_matches_branch_loop():
+    rng = random.Random(63)
+    empty = 0
+    for _ in range(150):
+        n = rng.randrange(1, 4)
+        ops = _random_context(rng, n)
+        for signs in product((0, 1), repeat=len(ops)):
+            got = context_eigenstate(ops, signs)
+            assert got == reference_eigenstate(ops, signs)
+            empty += got is None
+    assert empty > 0
+
+
+def test_float_born_matches_exact_on_integer_amplitudes():
+    named = {"bell_phi_plus": [(1, 0), (0, 0), (0, 0), (1, 0)]}
+    for n in (1, 2, 3):
+        dim = 1 << n
+        named[f"ghz{n}"] = [(1, 0)] + [(0, 0)] * (dim - 2) + [(1, 0)]
+        named[f"plus{n}"] = [(1, 0)] * dim
+        named[f"basis{n}"] = [(1, 0)] + [(0, 0)] * (dim - 1)
+    rng = random.Random(64)
+    for name, amps in named.items():
+        psi = canonical_state(name)
+        for _ in range(25):
+            ops = _random_context(rng, psi.num_qubits)
+            assert born_distribution(psi, ops) == born_distribution_exact(amps, ops)
+
+
+def test_float_tagged_rows_match_branch_loop_within_rounding():
+    # the branch loop, run exactly on the float amplitudes, is the oracle;
+    # rounding may not push an impossible outcome below zero
+    rng = random.Random(65)
+    tagged = 0
+    for _ in range(400):
+        n = rng.randrange(1, 4)
+        amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) if rng.random() < 0.6 else 0
+                for _ in range(1 << n)]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        if not norm:
+            continue
+        psi = StateVector(n, [a / norm for a in amps])
+        ops = _random_context(rng, n)
+        if rng.random() < 0.5:  # diagonal words: impossible outcomes on zero amplitudes
+            words = {"".join(rng.choice("IZ") for _ in range(n)) for _ in range(3)}
+            ops = [PauliOperator.from_string(w) for w in sorted(words) if "Z" in w] or ops
+        row = born_distribution(psi, ops)
+        if not isinstance(row, FloatDistribution):
+            continue
+        tagged += 1
+        exact = [(Fraction(a.real), Fraction(a.imag)) for a in psi.amplitudes]
+        want = reference_born_exact(exact, ops, [str(op) for op in ops])
+        assert row.weights.keys() == want.keys()
+        for s, w in row.weights.items():
+            assert w >= 0
+            assert abs(w - float(want[s])) < 1e-12
+    assert tagged > 30
