@@ -62,21 +62,17 @@ from .linear_theory import (
     theory_to_dict,
 )
 from .pauli import (
-    CommutationGraph,
     DeterminingTree,
     PATTERN_TABLE,
     PatternTestResult,
     PauliOperator,
     PauliSet,
-    commutation_graph,
-    commutes,
     find_determining_tree,
     identity,
     is_state_independent_avn,
     kl_pattern_test,
     kl_witness,
     measurement_cover,
-    multiply,
     partial_closure,
     pattern_key,
     scenario_of,

@@ -45,7 +45,6 @@ from .pauli import (
     is_state_independent_avn,
     kl_pattern_test,
     kl_witness,
-    measurement_cover,
     partial_closure,
     scenario_of,
     state_independent_theory,
@@ -302,14 +301,13 @@ def cmd_realize(args) -> int:
 def cmd_closure(args) -> int:
     base = _pauli_args(args.paulis)
     closed = partial_closure(base)
-    cover = measurement_cover(closed)
     theory = state_independent_theory(closed)
     verdict = is_consistent(theory)
     payload = {
         "num_qubits": closed.num_qubits,
         "size": len(closed.members),
         "members": [str(p) for p in closed.members],
-        "cover": [list(c.members) for c in cover],
+        "cover": [list(c.members) for c in theory.scenario.contexts],
         "equations": [eq.render() for eq in theory.equations],
         "si_avn": not verdict.consistent,
     }

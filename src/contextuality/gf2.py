@@ -66,27 +66,31 @@ class AffineBasis:
     def __init__(self, width: int):
         self.width = width
         self.rows: dict[int, tuple[int, int, int]] = {}  # pivot -> (coef, const, combo)
+        self.pivots = 0  # mask of the pivot coordinates
         self.count = 0
         self.conflict: int | None = None  # combo mask of first 0 = 1 derivation
 
     def add(self, coef: int, const: int) -> None:
         combo = 1 << self.count
         self.count += 1
-        for p, (bc, bk, bm) in self.rows.items():
-            if (coef >> p) & 1:
-                coef ^= bc
-                const ^= bk
-                combo ^= bm
+        # rows are fully reduced, so coef's pivot bits name the rows to apply
+        hits = coef & self.pivots
+        while hits:
+            bc, bk, bm = self.rows[lowest_bit(hits)]
+            coef ^= bc
+            const ^= bk
+            combo ^= bm
+            hits &= hits - 1
         if coef == 0:
             if const == 1 and self.conflict is None:
                 self.conflict = combo
             return
         p = lowest_bit(coef)
-        for q in list(self.rows):
-            qc, qk, qm = self.rows[q]
+        for q, (qc, qk, qm) in self.rows.items():
             if (qc >> p) & 1:
                 self.rows[q] = (qc ^ coef, qk ^ const, qm ^ combo)
         self.rows[p] = (coef, const, combo)
+        self.pivots |= 1 << p
 
     def solution(self) -> int | None:
         """A satisfying vector with free coordinates zero, or None."""

@@ -43,11 +43,11 @@ class LinearEquation:
     constant: int
 
     def __init__(self, context: Context, coefficients: Iterable[int], constant: int):
-        coefs = tuple(int(c) for c in coefficients)
+        coefs = tuple(map(int, coefficients))
         if len(coefs) != len(context):
             raise ValidationError(
                 f"{len(coefs)} coefficients for context {context} of size {len(context)}")
-        if any(c not in (0, 1) for c in coefs) or constant not in (0, 1):
+        if not {*coefs} <= {0, 1} or constant not in (0, 1):
             raise ValidationError("coefficients and constant must be bits")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "coefficients", coefs)

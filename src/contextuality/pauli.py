@@ -13,6 +13,9 @@ members, the parity theory a set satisfies independently of any state,
 and determining-tree searches in the style of Kirby and Love: a
 measurement admitting determining trees for x and -x over the same
 odd-multiplicity leaf set rules out any global eigenvalue assignment.
+Those searches run on operators packed into one integer word,
+phase<<2n | x<<n | z, the symplectic form of Aaronson and Gottesman, and
+build PauliOperator objects only for what they return.
 """
 
 from __future__ import annotations
@@ -81,8 +84,7 @@ class PauliOperator:
             xb, zb = _BITS[ch]
             x |= xb << j
             z |= zb << j
-        y_count = bin(x & z).count("1")
-        return cls(len(body), (phase + y_count) % 4, x, z)
+        return cls(len(body), (phase + (x & z).bit_count()) % 4, x, z)
 
     def letters(self) -> str:
         return "".join(
@@ -91,7 +93,7 @@ class PauliOperator:
 
     def sign_exponent(self) -> int:
         """Exponent of i in front of the bare letter word."""
-        return (self.phase - bin(self.x & self.z).count("1")) % 4
+        return (self.phase - (self.x & self.z).bit_count()) % 4
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.sign_exponent()] + self.letters()
@@ -114,14 +116,13 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.num_qubits != other.num_qubits:
             raise ValidationError("qubit counts differ")
-        phase = self.phase + other.phase + 2 * bin(self.z & other.x).count("1")
+        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
         return PauliOperator(self.num_qubits, phase, self.x ^ other.x, self.z ^ other.z)
 
     def commutes(self, other: "PauliOperator") -> bool:
         if self.num_qubits != other.num_qubits:
             raise ValidationError("qubit counts differ")
-        anti = bin(self.x & other.z).count("1") + bin(self.z & other.x).count("1")
-        return anti % 2 == 0
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, qubit 0 as the leftmost tensor factor."""
@@ -134,20 +135,36 @@ class PauliOperator:
         return out
 
 
-def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a * b
-
-
-def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    return a.commutes(b)
-
-
 def identity(num_qubits: int) -> PauliOperator:
     return PauliOperator(num_qubits, 0, 0, 0)
 
 
 def _sort_key(op: PauliOperator) -> tuple[int, int, int]:
     return (op.phase, op.x, op.z)
+
+
+# Integer order on the words of one qubit count is the (phase, x, z) order.
+
+def _word(op: PauliOperator) -> int:
+    n = op.num_qubits
+    return op.phase << 2 * n | op.x << n | op.z
+
+
+def _operator(word: int, n: int) -> PauliOperator:
+    mask = (1 << n) - 1
+    return PauliOperator(n, word >> 2 * n, word >> n & mask, word & mask)
+
+
+def _swap(word: int, n: int) -> int:
+    """z<<n | x, phase dropped: a & _swap(b) has odd weight iff a, b anticommute."""
+    mask = (1 << n) - 1
+    return (word & mask) << n | word >> n & mask
+
+
+def _mul(a: int, b: int, n: int) -> int:
+    mask = (1 << n) - 1
+    phase = (a >> 2 * n) + (b >> 2 * n) + 2 * (a & b >> n & mask).bit_count()
+    return (phase & 3) << 2 * n | (a ^ b) & ((1 << 2 * n) - 1)
 
 
 @dataclass(frozen=True)
@@ -187,39 +204,43 @@ class PauliSet:
         return op in self.members
 
 
-@dataclass(frozen=True)
-class CommutationGraph:
-    """Commutation relation on a set, identity-like vertices carrying no edges."""
+def _max_cliques(neighbors: list[int]) -> list[int]:
+    """Bron-Kerbosch with pivoting on bitsets; neighbors[v] is v's adjacency mask.
 
-    vertices: PauliSet
-    edges: tuple[tuple[PauliOperator, PauliOperator], ...]
+    Vertices with one closed neighbourhood, such as x and -x, lie in the
+    same maximal cliques, so the search keeps the lowest vertex of each
+    such class and widens every clique it finds to whole classes. Returns
+    each maximal clique once, as a vertex mask.
+    """
+    classes: dict[int, int] = {}
+    for v, nbr in enumerate(neighbors):
+        closed = nbr | 1 << v
+        classes[closed] = classes.get(closed, 0) | 1 << v
+    widen = {c & -c: c for c in classes.values()}  # lowest vertex bit -> class
+    out: list[int] = []
 
-
-def commutation_graph(s: PauliSet) -> CommutationGraph:
-    edges = []
-    for a, b in combinations(s.members, 2):
-        if a.is_identity_like() or b.is_identity_like():
-            continue
-        if a.commutes(b):
-            edges.append((a, b))
-    return CommutationGraph(s, tuple(edges))
-
-
-def _max_cliques(neighbors: list[set[int]]) -> list[frozenset[int]]:
-    """Bron-Kerbosch with pivoting, deterministic vertex order."""
-    out: list[frozenset[int]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(frozenset(r))
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                out.append(sum(widen[bit] for bit in widen if r & bit))
             return
-        pivot = max(sorted(p | x), key=lambda v: len(neighbors[v] & p))
-        for v in sorted(p - neighbors[pivot]):
-            expand(r | {v}, p & neighbors[v], x & neighbors[v])
-            p.remove(v)
-            x.add(v)
+        pivot, best, rest = 0, -1, p | x
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            count = (neighbors[v] & p).bit_count()
+            if count > best:
+                pivot, best = v, count
+        todo = p & ~neighbors[pivot]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            nbr = neighbors[bit.bit_length() - 1]
+            expand(r | bit, p & nbr, x & nbr)
+            p ^= bit
+            x |= bit
 
-    expand(set(), set(range(len(neighbors))), set())
+    expand(0, sum(widen), 0)
     return out
 
 
@@ -230,13 +251,20 @@ def measurement_cover(s: PauliSet) -> tuple[Context, ...]:
     covering anti-chain over the non-identity members by construction.
     """
     verts = [op for op in s.members if not op.is_identity_like()]
-    neighbors = [set() for _ in verts]
-    for i, j in combinations(range(len(verts)), 2):
-        if verts[i].commutes(verts[j]):
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-    cliques = _max_cliques(neighbors) if verts else []
-    return tuple(sorted(Context(str(verts[i]) for i in clique) for clique in cliques))
+    if not verts:
+        return ()
+    words = [_word(op) for op in verts]
+    swaps = [_swap(w, s.num_qubits) for w in words]
+    neighbors = [0] * len(words)
+    for i, a in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if not (a & swaps[j]).bit_count() & 1:
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    labels = [str(op) for op in verts]
+    return tuple(sorted(
+        Context(labels[i] for i in range(len(labels)) if clique >> i & 1)
+        for clique in _max_cliques(neighbors)))
 
 
 def scenario_of(s: PauliSet) -> MeasurementScenario:
@@ -247,30 +275,33 @@ def scenario_of(s: PauliSet) -> MeasurementScenario:
 
 def _closure_with_derivations(
     s: PauliSet,
-) -> tuple[list[PauliOperator], dict[PauliOperator, tuple[PauliOperator, PauliOperator] | None]]:
-    """Least product-closed superset, remembering one derivation per element.
+) -> tuple[list[int], dict[int, tuple[int, int] | None]]:
+    """Least product-closed superset as sorted words, one derivation per word.
 
-    Seeds (members of s) carry derivation None; the identity, when not a
-    seed, is derived from any seed squared. Derivations only reference
-    elements discovered earlier, so replay terminates.
+    Seeds (members of s) carry derivation None; the identity, word 0, when
+    not a seed, is derived from the first seed squared. Each round
+    multiplies every element by every commuting frontier element, both in
+    word order, and keeps the first derivation of each new product.
+    Derivations only reference elements discovered earlier, so replay
+    terminates.
     """
-    ident = identity(s.num_qubits)
-    deriv: dict[PauliOperator, tuple[PauliOperator, PauliOperator] | None] = {}
-    for op in s.members:
-        deriv[op] = None
-    if ident not in deriv:
-        first = s.members[0] if s.members else None
-        deriv[ident] = (first, first) if first else None
-    frontier = sorted(deriv, key=_sort_key)
+    n = s.num_qubits
+    mask, low = (1 << n) - 1, (1 << 2 * n) - 1
+    deriv: dict[int, tuple[int, int] | None] = {_word(op): None for op in s.members}
+    if 0 not in deriv:
+        deriv[0] = (_word(s.members[0]),) * 2 if s.members else None
+    frontier = sorted(deriv)
     elements = set(deriv)
     while frontier:
-        added: dict[PauliOperator, tuple[PauliOperator, PauliOperator]] = {}
-        ordered = sorted(elements, key=_sort_key)
-        for a in ordered:
-            for b in frontier:
-                if a == b or not a.commutes(b):
+        added: dict[int, tuple[int, int]] = {}
+        front = [(b, b >> 2 * n, b >> n & mask) for b in frontier]
+        for a in sorted(elements):
+            swapped, pa, za = _swap(a, n), a >> 2 * n, a & mask
+            for b, pb, xb in front:
+                if a == b or (swapped & b).bit_count() & 1:
                     continue
-                prod = a * b
+                # _mul(a, b, n) with the parts of a and b taken out of the loop
+                prod = ((pa + pb + 2 * (za & xb).bit_count()) & 3) << 2 * n | (a ^ b) & low
                 if prod not in elements and prod not in added:
                     added[prod] = (a, b)
                     if len(elements) + len(added) > CLOSURE_LIMIT:
@@ -278,8 +309,8 @@ def _closure_with_derivations(
                             f"partial closure exceeds {CLOSURE_LIMIT} members")
         deriv.update(added)
         elements.update(added)
-        frontier = sorted(added, key=_sort_key)
-    return sorted(elements, key=_sort_key), deriv
+        frontier = sorted(added)
+    return sorted(elements), deriv
 
 
 def partial_closure(s: PauliSet) -> PauliSet:
@@ -288,8 +319,8 @@ def partial_closure(s: PauliSet) -> PauliSet:
     Signed elements stay distinct, so closures of contradictory sets
     contain both x and -x. Refuses past 4096 members.
     """
-    elements, _ = _closure_with_derivations(s)
-    return PauliSet(s.num_qubits, elements)
+    words, _ = _closure_with_derivations(s)
+    return PauliSet(s.num_qubits, [_operator(w, s.num_qubits) for w in words])
 
 
 def state_independent_theory(s: PauliSet) -> LinearTheory:
@@ -300,29 +331,25 @@ def state_independent_theory(s: PauliSet) -> LinearTheory:
     form the kernel of the context's bit matrix, and the sign is linear in
     the kernel because Hermitian members square to the identity.
     """
+    n = s.num_qubits
     scenario = scenario_of(s)
-    by_label = {str(op): op for op in s.members if not op.is_identity_like()}
+    by_label = {str(op): _word(op) for op in s.members if not op.is_identity_like()}
     equations = []
     for ctx in scenario.contexts:
-        ops = [by_label[m] for m in ctx.members]
-        k = len(ops)
-        width = 2 * s.num_qubits
-        transpose = []
-        for bit in range(width):
-            row = 0
-            for i, op in enumerate(ops):
-                word = op.x | (op.z << s.num_qubits)
-                row |= ((word >> bit) & 1) << i
-            transpose.append(row)
+        words = [by_label[m] for m in ctx.members]
+        k = len(words)
+        transpose = [sum((w >> bit & 1) << i for i, w in enumerate(words))
+                     for bit in range(2 * n)]
         for r in gf2.nullspace(transpose, k):
-            prod = identity(s.num_qubits)
-            for i in range(k):
-                if (r >> i) & 1:
-                    prod = prod * ops[i]
-            if not prod.is_identity_like() or prod.phase % 2:
-                raise AssertionError(f"kernel product {prod} is not +-identity")
+            prod = 0
+            for i, w in enumerate(words):
+                if r >> i & 1:
+                    prod = _mul(prod, w, n)
+            if prod not in (0, 2 << 2 * n):
+                raise AssertionError(
+                    f"kernel product {_operator(prod, n)} is not +-identity")
             equations.append(LinearEquation(
-                ctx, tuple((r >> i) & 1 for i in range(k)), (prod.phase >> 1) & 1))
+                ctx, tuple(r >> i & 1 for i in range(k)), prod >> 2 * n + 1))
     return LinearTheory(scenario, equations)
 
 
@@ -386,45 +413,47 @@ class DeterminingTree:
 def find_determining_tree(x: PauliOperator, s: PauliSet) -> DeterminingTree | None:
     """A determining tree for x over s, or None when x escapes the closure."""
     _, deriv = _closure_with_derivations(s)
-    if x not in deriv:
+    if x.num_qubits != s.num_qubits or _word(x) not in deriv:
         return None
-    return _replay_tree(x, s, deriv, {})
+    return _replay_tree(_word(x), s.num_qubits, deriv, _leaves(s))
 
 
 def _replay_tree(
-    x: PauliOperator,
-    s: PauliSet,
-    deriv: dict[PauliOperator, tuple[PauliOperator, PauliOperator] | None],
-    memo: dict[PauliOperator, DeterminingTree],
+    x: int,
+    n: int,
+    deriv: dict[int, tuple[int, int] | None],
+    memo: dict[int, DeterminingTree],
 ) -> DeterminingTree | None:
+    """Replay the derivations of word x; memo starts as the generators' leaves."""
     if x in memo:
         return memo[x]
-    if x in s.members:
-        tree = DeterminingTree(x)
-    else:
-        parents = deriv[x]
-        if parents is None:
-            return None  # identity over an empty generating set
-        a, b = parents
-        ta = _replay_tree(a, s, deriv, memo)
-        tb = _replay_tree(b, s, deriv, memo)
-        if ta is None or tb is None:
-            return None
-        tree = DeterminingTree(x, (ta, tb))
+    parents = deriv[x]
+    if parents is None:
+        return None  # identity over an empty generating set
+    a, b = parents
+    ta = _replay_tree(a, n, deriv, memo)
+    tb = _replay_tree(b, n, deriv, memo)
+    if ta is None or tb is None:
+        return None
+    tree = DeterminingTree(_operator(x, n), (ta, tb))
     memo[x] = tree
     return tree
 
 
+def _leaves(s: PauliSet) -> dict[int, DeterminingTree]:
+    return {_word(op): DeterminingTree(op) for op in s.members}
+
+
 def _replay_dsets(
     s: PauliSet,
-    elements: list[PauliOperator],
-    deriv: dict[PauliOperator, tuple[PauliOperator, PauliOperator] | None],
-) -> dict[PauliOperator, int]:
+    elements: list[int],
+    deriv: dict[int, tuple[int, int] | None],
+) -> dict[int, int]:
     """Determining set of each replay tree, as a bitmask over s.members."""
-    index = {op: i for i, op in enumerate(s.members)}
-    dsets: dict[PauliOperator, int] = {}
+    index = {_word(op): i for i, op in enumerate(s.members)}
+    dsets: dict[int, int] = {}
 
-    def mask_of(x: PauliOperator) -> int:
+    def mask_of(x: int) -> int:
         if x in dsets:
             return dsets[x]
         if x in index:
@@ -438,8 +467,8 @@ def _replay_dsets(
         dsets[x] = m
         return m
 
-    for op in elements:
-        mask_of(op)
+    for w in elements:
+        mask_of(w)
     return dsets
 
 
@@ -455,15 +484,17 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
     D-set per element plus a GF(2) basis for K generated by the defect
     D(a) xor D(b) xor D(ab) over commuting pairs.
     """
+    n = s.num_qubits
     elements, deriv = _closure_with_derivations(s)
     dsets = _replay_dsets(s, elements, deriv)
 
-    generators: list[tuple[int, tuple[PauliOperator, PauliOperator]]] = []
+    generators: list[tuple[int, tuple[int, int]]] = []
     for i, a in enumerate(elements):
-        for b in elements[i:]:
-            if a == b or not a.commutes(b):
+        swapped = _swap(a, n)
+        for b in elements[i + 1:]:
+            if (swapped & b).bit_count() & 1:
                 continue
-            g = dsets[a] ^ dsets[b] ^ dsets[a * b]
+            g = dsets[a] ^ dsets[b] ^ dsets[_mul(a, b, n)]
             if g:
                 generators.append((g, (a, b)))
 
@@ -487,27 +518,28 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
         return combo if target == 0 else None
 
     elem_set = set(elements)
+    sign = 2 << 2 * n  # xor flips the phase by 2, negating the word
+    memo = _leaves(s)
     for x in elements:
-        neg = x.negate()
-        if neg not in elem_set or _sort_key(neg) < _sort_key(x):
+        neg = x ^ sign
+        if neg not in elem_set or neg < x:
             continue
         combo = span_combo(dsets[x] ^ dsets[neg])
         if combo is None:
             continue
-        memo: dict[PauliOperator, DeterminingTree] = {}
-        tree_x = _replay_tree(x, s, deriv, memo)
-        tree_neg = _replay_tree(neg, s, deriv, memo)
+        tree_x = _replay_tree(x, n, deriv, memo)
+        tree_neg = _replay_tree(neg, n, deriv, memo)
         if tree_x is None or tree_neg is None:
             continue
         for gi, (_, (a, b)) in enumerate(generators):
             if not (combo >> gi) & 1:
                 continue
-            prod = a * b
-            via_pair = DeterminingTree(prod, (
-                _replay_tree(a, s, deriv, memo), _replay_tree(b, s, deriv, memo)))
-            via_replay = _replay_tree(prod, s, deriv, memo)
-            gadget = DeterminingTree(identity(s.num_qubits), (via_pair, via_replay))
-            tree_neg = DeterminingTree(neg, (tree_neg, gadget))
+            prod = _mul(a, b, n)
+            via_pair = DeterminingTree(_operator(prod, n), (
+                _replay_tree(a, n, deriv, memo), _replay_tree(b, n, deriv, memo)))
+            via_replay = _replay_tree(prod, n, deriv, memo)
+            gadget = DeterminingTree(identity(n), (via_pair, via_replay))
+            tree_neg = DeterminingTree(tree_neg.operator, (tree_neg, gadget))
         if tree_x.determining_set() != tree_neg.determining_set():
             raise AssertionError("witness trees disagree on the determining set")
         return tree_x, tree_neg

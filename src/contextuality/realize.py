@@ -61,6 +61,8 @@ class StateVector:
         if amps.size != 1 << num_qubits:
             raise ValidationError(
                 f"{amps.size} amplitudes for {num_qubits} qubits")
+        if not np.isfinite(amps).all():
+            raise ValidationError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise ValidationError(f"state norm {norm} is not 1")
@@ -468,10 +470,9 @@ def equatorial_from_dict(data: object) -> dict[Label, EquatorialMeasurement]:
     for label, item in data.items():
         if not isinstance(item, dict) or "party" not in item or "angle" not in item:
             raise ParseError(f"equatorial entry {label!r} needs 'party' and 'angle'")
-        try:
-            party = int(item["party"])
-        except (TypeError, ValueError):
-            raise ParseError(f"equatorial entry {label!r} has a malformed party") from None
+        party = item["party"]
+        if not isinstance(party, int) or isinstance(party, bool):
+            raise ParseError(f"equatorial entry {label!r} has a malformed party")
         out[label] = EquatorialMeasurement(party, parse_angle(item["angle"]))
     return out
 

@@ -185,7 +185,11 @@ def test_realize_equatorial(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entry", [{"party": "a", "angle": 0},
-                                   {"party": 0, "angle": "pi/0"}])
+                                   {"party": 0, "angle": "pi/0"},
+                                   {"party": 1.7, "angle": 0},
+                                   {"party": 1.0, "angle": 0},
+                                   {"party": True, "angle": 0},
+                                   {"party": "1", "angle": 0}])
 def test_realize_malformed_equatorial_exits_3(tmp_path, capsys, entry):
     eq_path = tmp_path / "eq.json"
     eq_path.write_text(json.dumps({"XX": entry}))
@@ -194,6 +198,18 @@ def test_realize_malformed_equatorial_exits_3(tmp_path, capsys, entry):
     assert code == 3
     assert err.startswith("error: ")
     assert out == ""
+
+@pytest.mark.parametrize("amplitude", [["nan", "0"], ["0", "nan"], ["inf", "0"]])
+def test_realize_non_finite_state_exits_2(tmp_path, capsys, amplitude):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(
+        {"n": 2, "amplitudes": [amplitude, ["0", "0"], ["0", "0"], ["0", "0"]]}))
+    code, out, err = run(capsys, "realize", "--state", str(state_path),
+                         "--corpus", "xz222")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
 
 def test_closure_payload(capsys):
     payload = run_json(capsys, "closure", "XX", "ZZ")

@@ -1,17 +1,18 @@
 import random
-from itertools import product
+from itertools import combinations, product
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from contextuality import (
     ClosureLimitError,
+    DeterminingTree,
     ParseError,
     PauliOperator,
+    PatternTestResult,
     PauliSet,
     ValidationError,
-    commutation_graph,
-    commutes,
     find_determining_tree,
     identity,
     is_consistent,
@@ -19,14 +20,23 @@ from contextuality import (
     kl_pattern_test,
     kl_witness,
     measurement_cover,
-    multiply,
     partial_closure,
     pattern_key,
     scenario_of,
     state_independent_theory,
     validate_scenario,
 )
-from contextuality.pauli import CLOSURE_LIMIT, GRAPH_CLASS_NAMES, PATTERN_TABLE
+from contextuality.pauli import (
+    CLOSURE_LIMIT,
+    GRAPH_CLASS_NAMES,
+    PATTERN_TABLE,
+    _closure_with_derivations,
+    _max_cliques,
+    _mul,
+    _operator,
+    _swap,
+    _word,
+)
 from contextuality.corpus import mermin_square_set, mermin_star_set, xz222_set
 
 I2 = np.eye(2, dtype=complex)
@@ -88,7 +98,7 @@ def test_multiply_and_commute_against_dense_oracle():
     for a, b in product(ops, ops):
         ma, mb = dense(a), dense(b)
         assert np.allclose(dense(a * b), ma @ mb)
-        assert commutes(a, b) == np.allclose(ma @ mb, mb @ ma)
+        assert a.commutes(b) == np.allclose(ma @ mb, mb @ ma)
         pairs += 1
     assert pairs == 256
 
@@ -97,13 +107,13 @@ def test_known_products():
     xx = PauliOperator.from_string("XX")
     zz = PauliOperator.from_string("ZZ")
     yy = PauliOperator.from_string("YY")
-    assert str(multiply(xx, zz)) == "-YY"
-    assert str(multiply(zz, xx)) == "-YY"
-    assert multiply(xx, yy) == PauliOperator.from_string("-ZZ")
-    assert multiply(xx, xx).is_identity()
+    assert str(xx * zz) == "-YY"
+    assert str(zz * xx) == "-YY"
+    assert xx * yy == PauliOperator.from_string("-ZZ")
+    assert (xx * xx).is_identity()
     x, y = PauliOperator.from_string("X"), PauliOperator.from_string("Y")
-    assert str(multiply(x, y)) == "iZ"
-    assert str(multiply(y, x)) == "-iZ"
+    assert str(x * y) == "iZ"
+    assert str(y * x) == "-iZ"
 
 
 def test_to_matrix_qubit_order():
@@ -122,10 +132,9 @@ def test_pauli_set_canonicalization():
         PauliSet.from_strings(["X", "XX"])
 
 
-def test_commutation_graph_and_cover():
+def test_mermin_square_cover():
     s = mermin_square_set()
-    g = commutation_graph(s)
-    assert len(g.vertices) == 9
+    assert len(s) == 9
     cover = measurement_cover(s)
     covered = {m for c in cover for m in c.members}
     assert sorted(covered) == sorted(s.labels())
@@ -305,3 +314,164 @@ def test_determining_tree_validate_rejects_foreign_leaves():
     assert tree is not None
     with pytest.raises(ValidationError):
         tree.validate(PauliSet.from_strings(["XI", "IX"]))
+
+
+# ---------------------------------------------- references for the word kernel
+
+def random_operator(rng, n, hermitian=False):
+    x, z = rng.randrange(1 << n), rng.randrange(1 << n)
+    phase = (x & z).bit_count() + 2 * rng.randrange(2) if hermitian else rng.randrange(4)
+    return PauliOperator(n, phase, x, z)
+
+
+def random_pauli_set(rng):
+    """5-8 Hermitian words on 1-4 qubits, some signed, some contradictory."""
+    n = rng.randint(1, 4)
+    ops = {random_operator(rng, n, hermitian=True) for _ in range(rng.randint(5, 8))}
+    if rng.random() < 0.3:
+        ops.add(next(iter(ops)).negate())
+    return PauliSet(n, ops)
+
+
+def reference_closure(s):
+    """The closure loop on PauliOperator objects, first derivation kept."""
+    key = attrgetter("phase", "x", "z")
+    ident = identity(s.num_qubits)
+    deriv = {op: None for op in s.members}
+    if ident not in deriv:
+        deriv[ident] = (s.members[0],) * 2 if s.members else None
+    frontier = sorted(deriv, key=key)
+    while frontier:
+        added = {}
+        for a in sorted(deriv, key=key):
+            for b in frontier:
+                if a != b and a.commutes(b) and a * b not in deriv and a * b not in added:
+                    added[a * b] = (a, b)
+        deriv.update(added)
+        frontier = sorted(added, key=key)
+    return sorted(deriv, key=key), deriv
+
+
+def reference_kl_witness(s):
+    """kl_witness on objects: replay D-sets, defect basis, gadget trees."""
+    elements, deriv = reference_closure(s)
+    index = {op: i for i, op in enumerate(s.members)}
+    dsets, memo = {}, {}
+
+    def dset(x):
+        if x not in dsets:
+            dsets[x] = (1 << index[x] if x in index else 0 if deriv[x] is None
+                        else dset(deriv[x][0]) ^ dset(deriv[x][1]))
+        return dsets[x]
+
+    def tree(x):
+        if x not in memo:
+            memo[x] = (DeterminingTree(x) if x in index
+                       else DeterminingTree(x, (tree(deriv[x][0]), tree(deriv[x][1]))))
+        return memo[x]
+
+    gens = [(dset(a) ^ dset(b) ^ dset(a * b), (a, b))
+            for i, a in enumerate(elements) for b in elements[i + 1:] if a.commutes(b)]
+    gens = [g for g in gens if g[0]]
+    basis = {}
+    for gi, (g, _) in enumerate(gens):
+        combo = 1 << gi
+        for p, (bm, bc) in basis.items():
+            if g >> p & 1:
+                g, combo = g ^ bm, combo ^ bc
+        if g:
+            basis[(g & -g).bit_length() - 1] = (g, combo)
+    for x in elements:
+        neg = x.negate()
+        if neg not in deriv or (neg.phase, neg.x, neg.z) < (x.phase, x.x, x.z):
+            continue
+        target, combo = dset(x) ^ dset(neg), 0
+        for p, (bm, bc) in basis.items():
+            if target >> p & 1:
+                target, combo = target ^ bm, combo ^ bc
+        if target:
+            continue
+        tree_neg = tree(neg)
+        for gi, (_, (a, b)) in enumerate(gens):
+            if combo >> gi & 1:
+                gadget = DeterminingTree(identity(s.num_qubits), (
+                    DeterminingTree(a * b, (tree(a), tree(b))), tree(a * b)))
+                tree_neg = DeterminingTree(neg, (tree_neg, gadget))
+        return tree(x), tree_neg
+    return None
+
+
+def test_word_kernel_against_matrices():
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        for _ in range(60):
+            a, b = random_operator(rng, n), random_operator(rng, n)
+            ma, mb = a.to_matrix(), b.to_matrix()
+            assert np.allclose((a * b).to_matrix(), ma @ mb)
+            product = _operator(_mul(_word(a), _word(b), n), n)
+            assert product == a * b
+            assert np.allclose(product.to_matrix(), ma @ mb)
+            commute = np.allclose(ma @ mb, mb @ ma)
+            assert a.commutes(b) == commute
+            assert (not (_word(a) & _swap(_word(b), n)).bit_count() & 1) == commute
+            assert _operator(_word(a), n) == a
+            assert (_word(a) < _word(b)) == ((a.phase, a.x, a.z) < (b.phase, b.x, b.z))
+
+
+def test_max_cliques_against_brute_force():
+    rng = random.Random(42)
+    for _ in range(150):
+        k = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 0.8, 1.0))
+        neighbors = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
+                if rng.random() < density:
+                    neighbors[i] |= 1 << j
+                    neighbors[j] |= 1 << i
+        def is_clique(m):
+            return all((neighbors[v] | 1 << v) & m == m for v in range(k) if m >> v & 1)
+
+        maximal = [m for m in range(1, 1 << k) if is_clique(m) and not any(
+            neighbors[v] & m == m for v in range(k) if not m >> v & 1)]
+        found = _max_cliques(neighbors)
+        assert len(found) == len(set(found))
+        assert sorted(found) == maximal
+
+
+def test_closure_and_witness_against_object_reference():
+    rng = random.Random(43)
+    witnesses = 0
+    for _ in range(40):
+        s = random_pauli_set(rng)
+        n = s.num_qubits
+        words, deriv = _closure_with_derivations(s)
+        ref_elements, ref_deriv = reference_closure(s)
+        assert [_operator(w, n) for w in words] == ref_elements
+        assert list(partial_closure(s)) == ref_elements
+        as_ops = {_operator(w, n): None if d is None else tuple(_operator(v, n) for v in d)
+                  for w, d in deriv.items()}
+        assert as_ops == ref_deriv
+        x = rng.choice(ref_elements)
+        tree = find_determining_tree(x, s)
+        assert tree.operator == x and tree.determining_set() <= set(s.members)
+        witness = kl_witness(s)
+        assert witness == reference_kl_witness(s)
+        witnesses += witness is not None
+    assert 0 < witnesses < 40
+
+
+def test_kl_pattern_test_against_reference_closure():
+    rng = random.Random(44)
+    verdicts = set()
+    for _ in range(12):
+        s = random_pauli_set(rng)
+        expected = PatternTestResult(False, None, None)
+        for subset in combinations(s.members, 4):
+            closed = PauliSet(s.num_qubits, reference_closure(PauliSet(s.num_qubits, subset))[0])
+            if not is_consistent(state_independent_theory(closed)).consistent:
+                expected = PatternTestResult(True, subset, pattern_key(subset))
+                break
+        assert kl_pattern_test(s) == expected
+        verdicts.add(expected.avn)
+    assert verdicts == {False, True}
