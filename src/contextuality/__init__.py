@@ -34,8 +34,6 @@ from .empirical import (
     check_no_signaling,
     convex_mix,
     is_no_signaling,
-    load_model,
-    load_possibilistic,
     model_from_dict,
     model_to_dict,
     possibilistic_collapse,
@@ -55,7 +53,6 @@ from .linear_theory import (
     LinearTheory,
     is_avn,
     is_consistent,
-    load_theory,
     satisfies,
     theory_from_dict,
     theory_of_supports,
@@ -107,7 +104,6 @@ from .scenario import (
     MeasurementScenario,
     ScenarioViolation,
     enumerate_assignments,
-    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,

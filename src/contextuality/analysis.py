@@ -2,18 +2,21 @@
 
 The incidence matrix M has a row per (context, local assignment) pair and a
 column per global assignment, with a 1 where the global restricts to the
-local. A model vector V stacks the context tables in the same row order.
+local. Rows are bitmasks over the columns; column j holds the outcomes
+given by the base-d digits of j, the last measurement least significant.
+A model vector V stacks the context tables in the same row order.
 
 * MX = V with X >= 0 solvable  <->  the model is noncontextual.
 * max |X| with MX <= V, X >= 0 is the noncontextual fraction; 1 - it is
   the contextual fraction.
-* Supports admit a global section exactly when the collapse is not
-  strongly contextual.
 
-Columns whose global assignment restricts into a zero-probability row are
-eliminated before any pivoting: their variable is squeezed to zero by that
-row, which is also why strongly contextual models resolve without simplex
-work. Everything is exact.
+A row is dead when its outcome is impossible: weight 0, or outside the
+support. Every verdict starts from one mask, the columns that no dead row
+kills. Those columns are exactly the global sections, so the model is
+strongly contextual when the mask is empty and logically contextual when
+some possible row misses every survivor. The LPs see only the surviving
+columns, which is also why strongly contextual models resolve without
+simplex work. Everything is exact.
 
 The hidden-variable conversions realize the equivalence between global
 distributions and factorisable hidden-variable models: the canonical
@@ -31,7 +34,6 @@ from .empirical import (
     ContextDistribution,
     EmpiricalModel,
     PossibilisticModel,
-    possibilistic_collapse,
 )
 from .errors import SizeLimitError, ValidationError
 from .scenario import (
@@ -42,14 +44,7 @@ from .scenario import (
     enumerate_assignments,
 )
 
-GLOBAL_LIMIT = 1 << 20  # refuse incidence/section builds above this many columns
-
-
-def _check_size(scenario: MeasurementScenario) -> None:
-    count = len(scenario.outcomes) ** len(scenario.measurements)
-    if count > GLOBAL_LIMIT:
-        raise SizeLimitError(
-            f"{count} global assignments exceed the {GLOBAL_LIMIT} column limit")
+GLOBAL_LIMIT = 1 << 20  # refuse incidence builds above this many columns
 
 
 @dataclass(frozen=True)
@@ -67,19 +62,31 @@ class IncidenceMatrix:
 
 
 def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
-    """Assemble M in canonical row and column enumeration order."""
-    _check_size(scenario)
+    """Assemble M in canonical row and column enumeration order.
+
+    The columns where measurement i reads v repeat with period d * run,
+    run = d ** (m - 1 - i): a block of run ones at offset v * run. A row's
+    mask is the AND of its members' patterns.
+    """
+    d, m = len(scenario.outcomes), len(scenario.measurements)
+    if d ** m > GLOBAL_LIMIT:
+        raise SizeLimitError(
+            f"{d ** m} global assignments exceed the {GLOBAL_LIMIT} column limit")
     columns = enumerate_assignments(scenario.measurements, scenario.outcomes)
+    full = (1 << len(columns)) - 1
+    pattern = {}
+    for i, label in enumerate(scenario.measurements):
+        run = d ** (m - 1 - i)
+        tile = full // ((1 << d * run) - 1)
+        for v in scenario.outcomes:
+            pattern[label, v] = (((1 << run) - 1) << v * run) * tile
     row_index = []
     row_masks = []
     for ctx in scenario.contexts:
-        locals_ = enumerate_assignments(ctx.members, scenario.outcomes)
-        restr = [g.restrict(ctx.members) for g in columns]
-        for s in locals_:
-            mask = 0
-            for j, r in enumerate(restr):
-                if r == s:
-                    mask |= 1 << j
+        for s in enumerate_assignments(ctx.members, scenario.outcomes):
+            mask = full
+            for label, v in zip(s.labels, s.values):
+                mask &= pattern[label, v]
             row_index.append((ctx, s))
             row_masks.append(mask)
     return IncidenceMatrix(scenario, tuple(row_index), columns, tuple(row_masks))
@@ -127,27 +134,30 @@ class GlobalDistribution:
             self.scenario, {c: self.marginal(c) for c in self.scenario.contexts})
 
 
-def _survivors(incidence: IncidenceMatrix, vector: list[Fraction]) -> list[int]:
-    """Columns not forced to zero by a zero-probability row."""
+def _survivors(incidence: IncidenceMatrix, live: Iterable[object]) -> int:
+    """Mask of the columns that no dead row kills; ``live`` is falsy at dead rows."""
     dead = 0
-    for mask, v in zip(incidence.row_masks, vector):
-        if v == 0:
+    for mask, alive in zip(incidence.row_masks, live):
+        if not alive:
             dead |= mask
-    return [j for j in range(len(incidence.columns)) if not (dead >> j) & 1]
+    return ((1 << len(incidence.columns)) - 1) & ~dead
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return [j for j, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 def find_global_distribution(model: EmpiricalModel) -> GlobalDistribution | None:
     """Exact solution of MX = V with X >= 0, or None when none exists."""
     inc = build_incidence(model.scenario)
     vec = model_vector(model, inc)
-    cols = _survivors(inc, vec)
+    alive = _survivors(inc, vec)
     rows = [(mask, v) for mask, v in zip(inc.row_masks, vec) if v != 0]
     # a positive row all of whose columns died is already infeasible
-    for mask, v in rows:
-        if all(not (mask >> j) & 1 for j in cols):
-            return None
-    if not cols:
+    if any(not mask & alive for mask, _ in rows):
         return None
+    cols = _bits(alive)
     lhs = [[(mask >> j) & 1 for j in cols] for mask, _ in rows]
     rhs = [v for _, v in rows]
     x = exactlp.feasible_equalities(lhs, rhs)
@@ -173,7 +183,7 @@ def noncontextual_fraction(model: EmpiricalModel) -> NoncontextualFraction:
     """max |X| subject to MX <= V, X >= 0, solved exactly."""
     inc = build_incidence(model.scenario)
     vec = model_vector(model, inc)
-    cols = _survivors(inc, vec)
+    cols = _bits(_survivors(inc, vec))
     if not cols:
         return NoncontextualFraction(Fraction(0), {})
     lhs = [[(mask >> j) & 1 for j in cols] for mask in inc.row_masks]
@@ -186,65 +196,45 @@ def contextual_fraction(model: EmpiricalModel) -> Fraction:
     return noncontextual_fraction(model).cf
 
 
-def global_sections(model: PossibilisticModel | EmpiricalModel) -> tuple[Assignment, ...]:
-    """All global assignments consistent with every context's support.
-
-    Backtracking over contexts, tightest supports first; measurements in
-    no remaining context are enumerated freely at the end.
-    """
+def _sections(model: PossibilisticModel | EmpiricalModel) -> tuple[IncidenceMatrix, list[bool], int]:
+    """The incidence, which rows are possible, and the surviving-column mask."""
+    inc = build_incidence(model.scenario)
     if isinstance(model, EmpiricalModel):
-        model = possibilistic_collapse(model)
-    scenario = model.scenario
-    _check_size(scenario)
-    order = sorted(scenario.contexts, key=lambda c: (len(model.supports[c]), c))
-    sections: list[Assignment] = []
+        live = [w > 0 for w in model_vector(model, inc)]
+    else:
+        live = [s in model.supports[ctx] for ctx, s in inc.row_index]
+    return inc, live, _survivors(inc, live)
 
-    def extend(i: int, partial: dict[Label, int]) -> None:
-        if i == len(order):
-            free = [m for m in scenario.measurements if m not in partial]
-            for tail in enumerate_assignments(free, scenario.outcomes) if free else (None,):
-                full = dict(partial)
-                if tail is not None:
-                    full.update(tail.as_dict())
-                sections.append(Assignment.from_mapping(full))
-            return
-        ctx = order[i]
-        for s in sorted(model.supports[ctx]):
-            vals = s.as_dict()
-            if all(partial.get(m, v) == v for m, v in vals.items()):
-                nxt = dict(partial)
-                nxt.update(vals)
-                extend(i + 1, nxt)
 
-    extend(0, {})
-    return tuple(sorted(sections))
+def global_sections(model: PossibilisticModel | EmpiricalModel) -> tuple[Assignment, ...]:
+    """All global assignments consistent with every context's support, sorted."""
+    inc, _, alive = _sections(model)
+    return tuple(inc.columns[j] for j in _bits(alive))
 
 
 def is_strongly_contextual(model: PossibilisticModel | EmpiricalModel) -> bool:
-    return not global_sections(model)
+    return not _sections(model)[2]
 
 
 def logically_contextual_at(model: PossibilisticModel | EmpiricalModel,
                             context: Context | Iterable[Label],
                             s: Assignment) -> bool:
     """Is a possible local outcome missed by every global section?"""
-    if isinstance(model, EmpiricalModel):
-        model = possibilistic_collapse(model)
     ctx = context if isinstance(context, Context) else Context(context)
-    if s not in model.supports[ctx]:
-        raise ValidationError(f"{s} is not in the support at {ctx}")
-    return not any(g.restrict(ctx.members) == s for g in global_sections(model))
+    if ctx not in model.scenario.contexts:
+        raise ValidationError(f"{ctx} is not a context of the scenario")
+    inc, live, alive = _sections(model)
+    for row, mask, possible in zip(inc.row_index, inc.row_masks, live):
+        if possible and row == (ctx, s):
+            return not mask & alive
+    raise ValidationError(f"{s} is not in the support at {ctx}")
 
 
 def is_logically_contextual(model: PossibilisticModel | EmpiricalModel) -> bool:
     """Does any context hold a possible outcome with no global extension?"""
-    if isinstance(model, EmpiricalModel):
-        model = possibilistic_collapse(model)
-    reachable: dict[Context, set[Assignment]] = {c: set() for c in model.scenario.contexts}
-    for g in global_sections(model):
-        for c in model.scenario.contexts:
-            reachable[c].add(g.restrict(c.members))
-    return any(model.supports[c] - reachable[c] for c in model.scenario.contexts)
+    inc, live, alive = _sections(model)
+    return any(possible and not mask & alive
+               for mask, possible in zip(inc.row_masks, live))
 
 
 # ------------------------------------------------- hidden-variable models

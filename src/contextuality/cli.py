@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -66,8 +67,20 @@ EXIT_PARSE = 3
 EXIT_USAGE = 64
 
 
+_SIGNED_WORD = re.compile(r"-i?[IXYZ]+")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 64."""
+    """argparse with usage failures mapped to exit code 64.
+
+    A signed Pauli word such as ``-ZZ`` or ``-iXY`` is a positional: no
+    option is spelled that way.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _SIGNED_WORD.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -9,7 +9,6 @@ the input to logical and parity-based contextuality tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -300,21 +299,3 @@ def possibilistic_from_dict(data: object) -> PossibilisticModel:
     if missing:
         raise ValidationError(f"missing supports for {sorted(c.key() for c in missing)}")
     return PossibilisticModel(scenario, supports)
-
-
-def load_model(path: str) -> EmpiricalModel:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    return model_from_dict(data)
-
-
-def load_possibilistic(path: str) -> PossibilisticModel:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    return possibilistic_from_dict(data)

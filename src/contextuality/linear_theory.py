@@ -12,7 +12,6 @@ context, so equality of theories is equality of bases.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -255,12 +254,3 @@ def theory_from_dict(data: object) -> LinearTheory:
         coefs = tuple(int(item["r"].get(m, 0)) for m in ctx.members)
         equations.append(LinearEquation(ctx, coefs, int(item.get("a", 0))))
     return LinearTheory(scenario, equations)
-
-
-def load_theory(path: str) -> LinearTheory:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    return theory_from_dict(data)

@@ -14,7 +14,6 @@ as data, not silently fixed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -233,15 +232,6 @@ def scenario_from_dict(data: object) -> MeasurementScenario:
     if not all(isinstance(c, list) for c in contexts):
         raise ParseError("each context must be a list of labels")
     return MeasurementScenario(measurements, contexts, outcomes, ring)
-
-
-def load_scenario(path: str) -> MeasurementScenario:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    return scenario_from_dict(data)
 
 
 def parse_assignment(outcome_string: str, context: Context, outcomes: tuple[Outcome, ...]) -> Assignment:

@@ -5,9 +5,14 @@ import pytest
 
 from contextuality import (
     Assignment,
+    Context,
     ContextDistribution,
+    EmpiricalModel,
     GlobalDistribution,
     HiddenVariableModel,
+    MeasurementScenario,
+    PossibilisticModel,
+    SizeLimitError,
     ValidationError,
     build_incidence,
     contextual_fraction,
@@ -126,6 +131,16 @@ def test_global_sections_and_strength():
     assert len(global_sections(xy322_plus_model())) == 64
 
 
+def test_oversized_scenarios_are_refused_before_any_build():
+    sc = MeasurementScenario([f"m{i}" for i in range(21)], [["m0", "m1"]])
+    poss = PossibilisticModel(sc, {sc.contexts[0]: sc.assignments(sc.contexts[0])})
+    with pytest.raises(SizeLimitError):
+        build_incidence(sc)
+    for verdict in (global_sections, is_strongly_contextual, is_logically_contextual):
+        with pytest.raises(SizeLimitError):
+            verdict(poss)
+
+
 def test_logical_contextuality():
     assert not is_logically_contextual(chsh_model())
     assert is_logically_contextual(pr_box())
@@ -136,6 +151,9 @@ def test_logical_contextuality():
     assert logically_contextual_at(poss, ctx, s)
     with pytest.raises(ValidationError):
         logically_contextual_at(poss, ctx, Assignment(ctx.members, [0, 1]))
+    # a context outside the cover is a validation error, not a lookup failure
+    with pytest.raises(ValidationError):
+        logically_contextual_at(chsh_model(), ["a1", "a2"], Assignment(["a1", "a2"], [0, 0]))
 
 
 def test_hidden_variable_round_trip_exact():
@@ -183,3 +201,100 @@ def test_signed_solution_matches_probabilistic_when_noncontextual():
     assert find_global_distribution(m) is not None
     signed = signed_global_solution(m)
     assert signed is not None
+
+
+# ------------------------------------------- references for the bitmask engine
+
+def reference_incidence_masks(scenario):
+    """Row masks by comparing each column's restriction with each local assignment."""
+    columns = enumerate_assignments(scenario.measurements, scenario.outcomes)
+    masks = []
+    for ctx in scenario.contexts:
+        restr = [g.restrict(ctx.members) for g in columns]
+        for s in enumerate_assignments(ctx.members, scenario.outcomes):
+            masks.append(sum(1 << j for j, r in enumerate(restr) if r == s))
+    return tuple(masks)
+
+
+def reference_sections(poss):
+    """Backtracking over contexts, tightest supports first; free labels last."""
+    scenario = poss.scenario
+    order = sorted(scenario.contexts, key=lambda c: (len(poss.supports[c]), c))
+    sections = []
+
+    def extend(i, partial):
+        if i == len(order):
+            free = [m for m in scenario.measurements if m not in partial]
+            for tail in enumerate_assignments(free, scenario.outcomes):
+                sections.append(Assignment.from_mapping({**partial, **tail.as_dict()}))
+            return
+        for s in sorted(poss.supports[order[i]]):
+            vals = s.as_dict()
+            if all(partial.get(m, v) == v for m, v in vals.items()):
+                extend(i + 1, {**partial, **vals})
+
+    extend(0, {})
+    return tuple(sorted(sections))
+
+
+def random_possibilistic(rng):
+    """A random scenario with full, single-point or arbitrary (signalling) supports."""
+    d = rng.choice((2, 3))
+    labels = [f"m{i}" for i in range(rng.randint(1, 6 if d == 2 else 4))]
+    contexts = {Context(rng.sample(labels, rng.randint(1, min(3, len(labels)))))
+                for _ in range(rng.randint(1, 4))}
+    if rng.random() < 0.3:
+        labels.append("z")  # a measurement in no context
+    ring = "none" if d == 3 or rng.random() < 0.5 else "Z2"
+    scenario = MeasurementScenario(labels, contexts, range(d), ring)
+    kind = rng.choice(("full", "single", "signalling"))
+    supports = {}
+    for ctx in scenario.contexts:
+        local = enumerate_assignments(ctx.members, scenario.outcomes)
+        if kind == "full":
+            supports[ctx] = local
+        elif kind == "single":
+            supports[ctx] = [rng.choice(local)]
+        else:
+            supports[ctx] = rng.sample(local, rng.randint(1, len(local)))
+    return PossibilisticModel(scenario, supports)
+
+
+def uniform_model(poss):
+    """The empirical model spreading each context's weight evenly over its support."""
+    rows = {ctx: ContextDistribution(
+                ctx, poss.scenario.outcomes,
+                {s: Fraction(1, len(sup)) for s in sup})
+            for ctx, sup in poss.supports.items()}
+    return EmpiricalModel(poss.scenario, rows)
+
+
+def test_bitmask_incidence_matches_restriction_reference():
+    rng = random.Random(61)
+    for _ in range(150):
+        scenario = random_possibilistic(rng).scenario
+        inc = build_incidence(scenario)
+        assert inc.row_masks == reference_incidence_masks(scenario)
+        assert inc.columns == enumerate_assignments(scenario.measurements, scenario.outcomes)
+        assert inc.row_index == tuple(
+            (ctx, s) for ctx in scenario.contexts
+            for s in enumerate_assignments(ctx.members, scenario.outcomes))
+
+
+def test_section_verdicts_match_backtracking_reference():
+    rng = random.Random(62)
+    kinds = {"strong": 0, "logical": 0, "neither": 0}
+    for _ in range(150):
+        poss = random_possibilistic(rng)
+        sections = reference_sections(poss)
+        missed = {(ctx, s): not any(g.restrict(ctx.members) == s for g in sections)
+                  for ctx, sup in poss.supports.items() for s in sup}
+        for model in (poss, uniform_model(poss)):
+            assert global_sections(model) == sections
+            assert is_strongly_contextual(model) == (not sections)
+            assert is_logically_contextual(model) == any(missed.values())
+            for (ctx, s), expected in missed.items():
+                assert logically_contextual_at(model, ctx, s) == expected
+        kinds["strong" if not sections else
+              "logical" if any(missed.values()) else "neither"] += 1
+    assert min(kinds.values()) > 10  # every branch of the hierarchy is exercised

@@ -224,6 +224,17 @@ def test_closure_rejects_bad_pauli(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [("closure",), ("si-avn", "--in-closure"), ("kl-test",)])
+def test_signed_words_in_usual_order(capsys, command):
+    name, *flags = command
+    words = ("XX", "-ZZ", "IZ", "-ZI")
+    expected = run(capsys, name, *flags, "--format", "json", "--", *words)
+    assert expected[0] == 0
+    assert run(capsys, name, *words, *flags, "--format", "json") == expected
+    assert run(capsys, name, "XX", "-iXY")[0] == 2  # parsed as a word, then refused
+    assert run(capsys, name, "XX", "-Q")[0] == 64  # a non-word is still an option
+
+
 def test_si_avn_verdicts(capsys):
     base = ("IX", "IZ", "XI", "ZI")
     payload = run_json(capsys, "si-avn", *base)
