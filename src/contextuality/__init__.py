@@ -104,6 +104,7 @@ from .scenario import (
     MeasurementScenario,
     ScenarioViolation,
     enumerate_assignments,
+    gyo_core,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,

@@ -59,7 +59,12 @@ from .realize import (
     realize_model,
     realize_model_exact,
 )
-from .scenario import scenario_from_dict, scenario_to_dict, validate_scenario
+from .scenario import (
+    gyo_core,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -517,6 +522,9 @@ def cmd_conjecture_scan(args) -> int:
     if not 0 <= args.states <= 100:
         raise ValidationError("states must be between 0 and 100")
     pool = _positive_paulis(n)
+    if k > len(pool):
+        raise ValidationError(
+            f"set-size {k} exceeds the {len(pool)} positive Pauli words on {n} qubit(s)")
     rng = random.Random(args.seed)
     if args.exhaustive:
         total = math.comb(len(pool), k)
@@ -545,8 +553,11 @@ def cmd_conjecture_scan(args) -> int:
             skipped += 1
             continue
         scenario = scenario_of(pset)
+        # drawn for every set, so that later sets see the same rng stream
+        probes = _probe_states(pset, scenario, args.states, rng)
         witness_state = None
-        for vec in _probe_states(pset, scenario, args.states, rng):
+        # an acyclic cover (empty GYO core) is noncontextual for every state
+        for vec in probes if gyo_core(scenario.contexts) else ():
             model = realize_model_exact(vec, scenario)
             if find_global_distribution(model) is None:
                 witness_state = vec

@@ -206,6 +206,32 @@ def validate_scenario(scenario: MeasurementScenario) -> list[ScenarioViolation]:
     return violations
 
 
+def gyo_core(contexts: Iterable[Context | Iterable[Label]]) -> tuple[Context, ...]:
+    """What GYO reduction leaves of a cover's hypergraph, in context order.
+
+    Repeatedly drop a context contained in another (equal copies count
+    once) and a measurement that lies in only one context, until neither
+    rule applies. The result is empty exactly when the cover is acyclic:
+    a last context loses every measurement to the second rule. On an
+    acyclic cover every no-signalling model, and so every quantum model,
+    has a global distribution (Vorob'ev, Theory Probab. Appl. 7, 147,
+    1962), so no state can make it contextual. A cyclic cover keeps at
+    least three contexts, e.g. the four edges of the CHSH square.
+    """
+    edges = {frozenset(c) for c in contexts}
+    while True:
+        edges = {e for e in edges if not any(e < f for f in edges)}
+        seen: set[Label] = set()
+        shared: set[Label] = set()
+        for e in edges:
+            shared |= seen & e
+            seen |= e
+        reduced = {e & shared for e in edges}
+        if reduced == edges:
+            return tuple(sorted(Context(e) for e in edges if e))
+        edges = reduced
+
+
 # ----------------------------------------------------------------- JSON form
 
 def scenario_to_dict(scenario: MeasurementScenario) -> dict:

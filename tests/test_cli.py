@@ -1,5 +1,6 @@
 """Command line behavior: payloads, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import contextuality
+import contextuality.cli
 from contextuality import (
     Assignment,
     ContextDistribution,
@@ -306,6 +308,80 @@ def test_conjecture_scan_bounds_states(capsys, monkeypatch):
         code, out, err = run(capsys, *small, "--states", states)
         assert code == 2
         assert "states must be between 0 and 100" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--exhaustive",)])
+def test_conjecture_scan_set_size_beyond_pool_exits_2(capsys, mode):
+    code, out, err = run(capsys, "conjecture-scan", "--max-qubits", "1",
+                         "--set-size", "4", *mode)
+    assert code == 2
+    assert out == ""
+    assert "set-size 4 exceeds the 3 positive Pauli words" in err
+    full = run_json(capsys, "conjecture-scan", "--max-qubits", "1",
+                    "--set-size", "3", *mode)
+    assert full["sets_scanned"] == 1
+
+
+def test_conjecture_scan_acyclic_skip_changes_no_byte(capsys, monkeypatch):
+    scans = [
+        ("--max-qubits", "2", "--set-size", "3", "--exhaustive"),
+        ("--max-qubits", "3", "--set-size", "4", "--samples", "12", "--seed", "3"),
+        ("--max-qubits", "3", "--set-size", "5", "--samples", "8", "--seed", "4"),
+        ("--max-qubits", "3", "--set-size", "6", "--samples", "6", "--seed", "9",
+         "--states", "3"),
+    ]
+    real_gyo_core = contextuality.cli.gyo_core
+    real_realize = contextuality.cli.realize_model_exact
+    real_probe_states = contextuality.cli._probe_states
+    realized, drawn = [], []
+
+    def recording_realize(vec, scenario):
+        realized[-1].append(bool(real_gyo_core(scenario.contexts)))
+        return real_realize(vec, scenario)
+
+    def recording_probe_states(*args):
+        drawn[-1].append(real_probe_states(*args))
+        return drawn[-1][-1]
+
+    def scan_all():
+        realized.append([])
+        drawn.append([])
+        return [run(capsys, "conjecture-scan", *argv, "--format", "json") for argv in scans]
+
+    monkeypatch.setattr("contextuality.cli.realize_model_exact", recording_realize)
+    monkeypatch.setattr("contextuality.cli._probe_states", recording_probe_states)
+    skipping = scan_all()
+    # every cover counts as cyclic: every set is probed, as before the skip
+    monkeypatch.setattr("contextuality.cli.gyo_core", lambda contexts: tuple(contexts))
+    probing = scan_all()
+    assert skipping == probing
+    assert all(code == 0 for code, _, _ in skipping)
+    assert realized[0] and all(realized[0])  # no acyclic cover is realized
+    assert not all(realized[1])
+    # skipped sets still draw their probes, so later sets get the same ones
+    assert drawn[0] == drawn[1]
+
+
+def test_conjecture_scan_exhaustive_2q_pin(capsys, monkeypatch):
+    real_gyo_core = contextuality.cli.gyo_core
+    cores = []
+
+    def recording_gyo_core(contexts):
+        cores.append(real_gyo_core(contexts))
+        return cores[-1]
+
+    monkeypatch.setattr("contextuality.cli.gyo_core", recording_gyo_core)
+    code, out, err = run(capsys, "conjecture-scan", "--max-qubits", "2", "--set-size", "4",
+                         "--exhaustive", "--format", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1efd7ae82aa92612a80b6e3c6168f7cd0aa11adbe81ed22e84529a80fd0890d")
+    assert sum(not core for core in cores) == 1275
+    # acyclic covers are never probed, so the 90 contextual sets all lie
+    # among the 90 cyclic covers: the two sets are equal
+    assert sum(bool(core) for core in cores) == 90
+    assert json.loads(out)["contextual_count"] == 90
+
 
 def test_console_script_subprocess():
     # Each fresh interpreter imports the same package this test imported.

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,9 +9,14 @@ from contextuality import (
     Context,
     MeasurementScenario,
     ParseError,
+    PauliSet,
     ValidationError,
     enumerate_assignments,
+    find_global_distribution,
+    gyo_core,
+    realize_model_exact,
     scenario_from_dict,
+    scenario_of,
     scenario_to_dict,
     validate_scenario,
 )
@@ -122,3 +129,59 @@ def test_parse_assignment():
         parse_assignment("1x", ctx, (0, 1))
     with pytest.raises(ParseError):
         parse_assignment("12", ctx, (0, 1))
+
+
+def test_gyo_core_keeps_cycles():
+    assert gyo_core(chsh().contexts) == chsh().contexts
+    triangle = [["a", "b"], ["b", "c"], ["c", "a"]]
+    assert gyo_core(triangle) == tuple(sorted(Context(c) for c in triangle))
+    five = scenario_of(PauliSet.from_strings(["IZZ", "XXZ", "IXY", "YIY", "XYY"]))
+    assert len(five.contexts) == 5
+    assert all(len(c) == 2 for c in five.contexts)
+    assert gyo_core(five.contexts) == five.contexts
+    # an ear hanging off a cycle is removed, the cycle stays
+    assert gyo_core(triangle + [["c", "d"], ["d", "e", "f"]]) == gyo_core(triangle)
+
+
+@pytest.mark.parametrize("contexts", [
+    [["a", "b"], ["b", "c"], ["c", "d"]],                 # path
+    [["a", "h"], ["b", "h"], ["c", "h"], ["d", "h"]],     # star
+    [["a", "b", "c"], ["a", "b"], ["b", "c"], ["c", "a"]],  # triangle inside a context
+    [["a", "b"], ["b", "a"], ["b", "c"]],                 # equal copies count once
+    [["a", "b", "c"]],
+    [],
+])
+def test_gyo_core_empties_acyclic_covers(contexts):
+    assert gyo_core(contexts) == ()
+
+
+def _random_words(num_qubits, k, rng):
+    words = set()
+    while len(words) < k:
+        word = "".join(rng.choice("IXYZ") for _ in range(num_qubits))
+        if word.strip("I"):
+            words.add(word)
+    return sorted(words)
+
+
+def test_acyclic_pauli_covers_have_global_distributions():
+    """Vorob'ev: on an acyclic cover every quantum model is noncontextual."""
+    rng = random.Random(7)
+    checked = 0
+    for num_qubits in (2, 3):
+        for k in range(3, 7):
+            for _ in range(3):
+                scenario = scenario_of(PauliSet.from_strings(_random_words(num_qubits, k, rng)))
+                if gyo_core(scenario.contexts):
+                    continue
+                for _ in range(2):
+                    state = [(Fraction(rng.randrange(-2, 3)), Fraction(rng.randrange(-2, 3)))
+                             for _ in range(1 << num_qubits)]
+                    if not any(re or im for re, im in state):
+                        continue
+                    model = realize_model_exact(state, scenario)
+                    found = find_global_distribution(model)
+                    assert found is not None, scenario.contexts
+                    assert found.realized_model() == model
+                    checked += 1
+    assert checked >= 30, checked
