@@ -12,19 +12,13 @@ input, 64 usage error.
 
 import argparse
 import json
-import math
 import os
-import random
 import re
 import sys
-from fractions import Fraction
-from itertools import combinations
-
-import numpy as np
+from dataclasses import asdict
 
 from . import corpus
 from .analysis import (
-    find_global_distribution,
     global_sections,
     is_logically_contextual,
     is_strongly_contextual,
@@ -38,10 +32,9 @@ from .empirical import (
     model_to_dict,
     possibilistic_from_dict,
 )
-from .errors import ClosureLimitError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .linear_theory import is_avn, is_consistent
 from .pauli import (
-    PauliOperator,
     PauliSet,
     is_state_independent_avn,
     kl_pattern_test,
@@ -53,14 +46,12 @@ from .pauli import (
 from .realize import (
     FloatDistribution,
     canonical_state,
-    context_eigenstate,
     load_equatorial,
     load_state,
     realize_model,
-    realize_model_exact,
 )
+from .scan import conjecture_scan
 from .scenario import (
-    gyo_core,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
@@ -163,10 +154,6 @@ def _emit(payload, args, *, table=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _pauli_args(values) -> PauliSet:
-    return PauliSet.from_strings(values)
 
 
 def _pauli_scenario_set(scenario) -> PauliSet:
@@ -317,7 +304,7 @@ def cmd_realize(args) -> int:
 # ------------------------------------------------------------------- closure
 
 def cmd_closure(args) -> int:
-    base = _pauli_args(args.paulis)
+    base = PauliSet.from_strings(args.paulis)
     closed = partial_closure(base)
     theory = state_independent_theory(closed)
     verdict = is_consistent(theory)
@@ -339,7 +326,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_si_avn(args) -> int:
-    base = _pauli_args(args.paulis)
+    base = PauliSet.from_strings(args.paulis)
     verdict = is_state_independent_avn(base, in_closure=args.in_closure)
     payload = {"paulis": list(base.labels()), "in_closure": args.in_closure,
                "si_avn": verdict}
@@ -364,7 +351,7 @@ def _tree_text(tree) -> str:
 
 
 def cmd_kl_test(args) -> int:
-    base = _pauli_args(args.paulis)
+    base = PauliSet.from_strings(args.paulis)
     witness = kl_witness(base)
     pattern = kl_pattern_test(base)
     payload = {
@@ -435,162 +422,15 @@ def cmd_corpus(args) -> int:
 
 # ----------------------------------------------------------- conjecture-scan
 
-def _positive_paulis(num_qubits: int) -> list[PauliOperator]:
-    # phase = Y count gives sign exponent 0: the unsigned letter words
-    return [PauliOperator(num_qubits, (x & z).bit_count(), x, z)
-            for x in range(1 << num_qubits) for z in range(1 << num_qubits) if x or z]
-
-
-def _random_rational_state(dim: int, rng: random.Random):
-    while True:
-        vec = [(Fraction(rng.randrange(-2, 3)), Fraction(rng.randrange(-2, 3)))
-               for _ in range(dim)]
-        if any(re or im for re, im in vec):
-            return vec
-
-
-def _cycle_probes(ops):
-    """Rationalized top eigenvectors of Bell-facet operators.
-
-    Every induced 4-cycle a1-b1-a2-b2 in the commutation graph carries the
-    facet operator a1 b1 + a1 b2 + a2 b1 - a2 b2, whose top eigenvector is
-    the natural candidate for a contextual realization. The float
-    eigenvector only seeds the probe; the contextuality test downstream is
-    exact on the snapped rational state.
-    """
-    probes = []
-    for quad in combinations(ops, 4):
-        for a1, a2, b1, b2 in ((quad[0], quad[1], quad[2], quad[3]),
-                               (quad[0], quad[2], quad[1], quad[3]),
-                               (quad[0], quad[3], quad[1], quad[2])):
-            if a1.commutes(a2) or b1.commutes(b2):
-                continue
-            if not all(a.commutes(b) for a in (a1, a2) for b in (b1, b2)):
-                continue
-            mats = {p: p.to_matrix() for p in quad}
-            for minus in range(4):
-                terms = [mats[a1] @ mats[b1], mats[a1] @ mats[b2],
-                         mats[a2] @ mats[b1], mats[a2] @ mats[b2]]
-                facet = sum(-t if i == minus else t for i, t in enumerate(terms))
-                vals, vecs = np.linalg.eigh(facet)
-                top = vecs[:, int(np.argmax(vals))]
-                snapped = [(Fraction(float(c.real)).limit_denominator(64),
-                            Fraction(float(c.imag)).limit_denominator(64))
-                           for c in top]
-                if any(re or im for re, im in snapped):
-                    probes.append(snapped)
-    return probes
-
-
-def _probe_states(pset, scenario, num_random: int, rng: random.Random):
-    """Context eigenstates, Bell-facet eigenvectors, then random vectors."""
-    probes = []
-    for ctx in scenario.contexts:
-        ops = [PauliOperator.from_string(m) for m in ctx.members]
-        vec = context_eigenstate(ops)
-        for _ in range(4):
-            if vec is not None:
-                break
-            vec = context_eigenstate(ops, [rng.randrange(2) for _ in ops])
-        if vec is not None:
-            probes.append(vec)
-    probes.extend(_cycle_probes(pset.members))
-    dim = 1 << pset.num_qubits
-    for _ in range(num_random):
-        probes.append(_random_rational_state(dim, rng))
-    seen = set()
-    unique = []
-    for vec in probes:
-        key = tuple(vec)
-        if key not in seen:
-            seen.add(key)
-            unique.append(vec)
-    return unique
-
-
-def _state_strings(vec) -> list[list[str]]:
-    return [[str(re), str(im)] for re, im in vec]
-
-
 def cmd_conjecture_scan(args) -> int:
-    n = args.max_qubits
-    k = args.set_size
-    if not 1 <= n <= 3:
-        raise ValidationError("max-qubits must be between 1 and 3")
-    if not 2 <= k <= 8:
-        raise ValidationError("set-size must be between 2 and 8")
-    if not 0 <= args.states <= 100:
-        raise ValidationError("states must be between 0 and 100")
-    pool = _positive_paulis(n)
-    if k > len(pool):
-        raise ValidationError(
-            f"set-size {k} exceeds the {len(pool)} positive Pauli words on {n} qubit(s)")
-    rng = random.Random(args.seed)
-    if args.exhaustive:
-        total = math.comb(len(pool), k)
-        if total > 20000:
-            raise ValidationError(
-                f"exhaustive scan of {total} subsets exceeds the 20000 cap")
-        subsets = combinations(pool, k)
-    else:
-        if not 1 <= args.samples <= 5000:
-            raise ValidationError("samples must be between 1 and 5000")
-        drawn = {tuple(sorted(rng.sample(pool, k), key=str))
-                 for _ in range(args.samples)}
-        subsets = sorted(drawn, key=lambda ops: tuple(map(str, ops)))
-
-    scanned = 0
-    skipped = 0
-    closure_avn_count = 0
-    contextual_count = 0
-    counterexamples = []
-    unwitnessed = []
-    for subset in subsets:
-        pset = PauliSet(n, subset)
-        try:
-            avn = is_state_independent_avn(pset, in_closure=True)
-        except ClosureLimitError:
-            skipped += 1
-            continue
-        scenario = scenario_of(pset)
-        # drawn for every set, so that later sets see the same rng stream
-        probes = _probe_states(pset, scenario, args.states, rng)
-        witness_state = None
-        # an acyclic cover (empty GYO core) is noncontextual for every state
-        for vec in probes if gyo_core(scenario.contexts) else ():
-            model = realize_model_exact(vec, scenario)
-            if find_global_distribution(model) is None:
-                witness_state = vec
-                break
-        scanned += 1
-        labels = [str(p) for p in pset.members]
-        if avn:
-            closure_avn_count += 1
-        if witness_state is not None:
-            contextual_count += 1
-            if not avn:
-                counterexamples.append({
-                    "paulis": labels,
-                    "state": _state_strings(witness_state),
-                })
-        elif avn:
-            unwitnessed.append(labels)
-    payload = {
-        "num_qubits": n,
-        "set_size": k,
-        "sets_scanned": scanned,
-        "sets_skipped": skipped,
-        "closure_avn_count": closure_avn_count,
-        "contextual_count": contextual_count,
-        "counterexamples": counterexamples,
-        "unwitnessed_avn": unwitnessed,
-        "conjecture_holds": not counterexamples,
-    }
+    result = conjecture_scan(args.max_qubits, args.set_size, exhaustive=args.exhaustive,
+                             samples=args.samples, states=args.states, seed=args.seed)
+    payload = asdict(result)
     table = [f"{key}: {_scalar(val)}" for key, val in payload.items()
              if not isinstance(val, list)]
-    for ce in counterexamples:
+    for ce in result.counterexamples:
         table.append("counterexample: " + " ".join(ce["paulis"]))
-    for labels in unwitnessed:
+    for labels in result.unwitnessed_avn:
         table.append("unwitnessed_avn: " + " ".join(labels))
     _emit(payload, args, table=table)
     return EXIT_OK

@@ -224,7 +224,7 @@ def possibilistic_collapse(model: EmpiricalModel) -> PossibilisticModel:
 # ----------------------------------------------------------------- JSON form
 
 def _fraction_from_string(text: object) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected rational string, got {text!r}")

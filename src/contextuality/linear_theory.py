@@ -94,14 +94,6 @@ class LinearTheory:
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "equations", _reduce_per_context(eqs))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearTheory):
-            return NotImplemented
-        return self.scenario == other.scenario and self.equations == other.equations
-
-    def __hash__(self) -> int:
-        return hash((self.scenario, self.equations))
-
     def __len__(self) -> int:
         return len(self.equations)
 

@@ -51,12 +51,17 @@ RESIDUAL_TOLERANCE = 1e-9
 NORM_TOLERANCE = 1e-9
 
 
+def _check_qubits(num_qubits: int) -> None:
+    # before any 2^n allocation: numpy refuses 2^64 with a bare ValueError
+    if num_qubits < 1 or num_qubits > QUBIT_LIMIT:
+        raise SizeLimitError(f"statevectors support 1..{QUBIT_LIMIT} qubits")
+
+
 class StateVector:
     """A unit vector on n qubits, qubit 0 as the most significant index bit."""
 
     def __init__(self, num_qubits: int, amplitudes: Sequence[complex]):
-        if num_qubits < 1 or num_qubits > QUBIT_LIMIT:
-            raise SizeLimitError(f"statevectors support 1..{QUBIT_LIMIT} qubits")
+        _check_qubits(num_qubits)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != 1 << num_qubits:
             raise ValidationError(
@@ -75,19 +80,20 @@ class StateVector:
 
 
 def ghz(num_qubits: int) -> StateVector:
+    _check_qubits(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = amps[-1] = 1 / math.sqrt(2)
     return StateVector(num_qubits, amps)
 
 
 def plus(num_qubits: int) -> StateVector:
+    _check_qubits(num_qubits)
     dim = 1 << num_qubits
     return StateVector(num_qubits, np.full(dim, 1 / math.sqrt(dim), dtype=complex))
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
-    if num_qubits < 1 or num_qubits > QUBIT_LIMIT:
-        raise SizeLimitError(f"statevectors support 1..{QUBIT_LIMIT} qubits")
+    _check_qubits(num_qubits)
     if index < 0 or index >= 1 << num_qubits:
         raise ValidationError(f"basis index {index} outside {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=complex)
@@ -396,7 +402,7 @@ def context_eigenstate(ops: Sequence[PauliOperator],
 # ----------------------------------------------------------------- JSON form
 
 def _parse_component(value: object) -> float:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         try:
@@ -411,7 +417,7 @@ def state_from_dict(data: object) -> StateVector:
         raise ParseError("state object needs 'n' and 'amplitudes'")
     n = data["n"]
     raw = data["amplitudes"]
-    if not isinstance(n, int) or not isinstance(raw, list):
+    if not isinstance(n, int) or isinstance(n, bool) or not isinstance(raw, list):
         raise ParseError("state 'n' must be an int and 'amplitudes' a list")
     amps = []
     for item in raw:

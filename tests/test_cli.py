@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import contextuality
-import contextuality.cli
+import contextuality.scan
 from contextuality import (
     Assignment,
     ContextDistribution,
@@ -213,6 +213,43 @@ def test_realize_non_finite_state_exits_2(tmp_path, capsys, amplitude):
     assert out == ""
 
 
+@pytest.mark.parametrize("name", ["ghz64", "plus64", "ghz11", "plus11"])
+def test_realize_named_state_beyond_qubit_limit_exits_2(capsys, name):
+    # the size check precedes the 2^n allocation, which numpy refuses at 2^64
+    code, out, err = run(capsys, "realize", "--state", name, "--corpus", "chsh")
+    assert code == 2
+    assert err.startswith("error: ") and "qubits" in err
+    assert out == ""
+
+
+def _model_with_boolean_weights():
+    data = model_to_dict(chsh_model())
+    data["rows"][next(iter(data["rows"]))] = {"00": True, "11": False}
+    return data
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("model", _model_with_boolean_weights()),
+    ("state", {"n": 1, "amplitudes": [[True, "0"], ["0", "0"]]}),
+    ("state", {"n": True, "amplitudes": [["1", "0"], ["0", "0"]]}),
+])
+def test_json_booleans_are_not_numbers_exit_3(tmp_path, capsys, kind, data):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    if kind == "model":
+        argv = ["validate", str(path)]
+    else:
+        scenario_path = tmp_path / "z.json"
+        scenario_path.write_text(json.dumps(
+            {"measurements": ["Z"], "outcomes": [0, 1], "ring": "Z2",
+             "contexts": [["Z"]]}))
+        argv = ["realize", "--state", str(path), "--scenario", str(scenario_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_closure_payload(capsys):
     payload = run_json(capsys, "closure", "XX", "ZZ")
     assert payload["size"] == 4
@@ -303,7 +340,7 @@ def test_conjecture_scan_bounds_states(capsys, monkeypatch):
     def no_probes(*args):
         raise AssertionError("probe states built for a rejected --states")
 
-    monkeypatch.setattr("contextuality.cli._probe_states", no_probes)
+    monkeypatch.setattr("contextuality.scan._probe_states", no_probes)
     for states in ("-1", "101"):
         code, out, err = run(capsys, *small, "--states", states)
         assert code == 2
@@ -330,47 +367,48 @@ def test_conjecture_scan_acyclic_skip_changes_no_byte(capsys, monkeypatch):
         ("--max-qubits", "3", "--set-size", "6", "--samples", "6", "--seed", "9",
          "--states", "3"),
     ]
-    real_gyo_core = contextuality.cli.gyo_core
-    real_realize = contextuality.cli.realize_model_exact
-    real_probe_states = contextuality.cli._probe_states
-    realized, drawn = [], []
+    real_gyo_core = contextuality.scan.gyo_core
+    real_realize = contextuality.scan.realize_model_exact
+    real_probe_states = contextuality.scan._probe_states
+    realized, probed = [], []
 
     def recording_realize(vec, scenario):
         realized[-1].append(bool(real_gyo_core(scenario.contexts)))
         return real_realize(vec, scenario)
 
-    def recording_probe_states(*args):
-        drawn[-1].append(real_probe_states(*args))
-        return drawn[-1][-1]
+    def recording_probe_states(pset, scenario, *args):
+        probed[-1].append(bool(real_gyo_core(scenario.contexts)))
+        return real_probe_states(pset, scenario, *args)
 
     def scan_all():
         realized.append([])
-        drawn.append([])
+        probed.append([])
         return [run(capsys, "conjecture-scan", *argv, "--format", "json") for argv in scans]
 
-    monkeypatch.setattr("contextuality.cli.realize_model_exact", recording_realize)
-    monkeypatch.setattr("contextuality.cli._probe_states", recording_probe_states)
+    monkeypatch.setattr("contextuality.scan.realize_model_exact", recording_realize)
+    monkeypatch.setattr("contextuality.scan._probe_states", recording_probe_states)
     skipping = scan_all()
     # every cover counts as cyclic: every set is probed, as before the skip
-    monkeypatch.setattr("contextuality.cli.gyo_core", lambda contexts: tuple(contexts))
+    monkeypatch.setattr("contextuality.scan.gyo_core", lambda contexts: tuple(contexts))
     probing = scan_all()
     assert skipping == probing
     assert all(code == 0 for code, _, _ in skipping)
     assert realized[0] and all(realized[0])  # no acyclic cover is realized
     assert not all(realized[1])
-    # skipped sets still draw their probes, so later sets get the same ones
-    assert drawn[0] == drawn[1]
+    # probe states are built only for covers with a non-empty GYO core
+    assert probed[0] and all(probed[0])
+    assert not all(probed[1])
 
 
 def test_conjecture_scan_exhaustive_2q_pin(capsys, monkeypatch):
-    real_gyo_core = contextuality.cli.gyo_core
+    real_gyo_core = contextuality.scan.gyo_core
     cores = []
 
     def recording_gyo_core(contexts):
         cores.append(real_gyo_core(contexts))
         return cores[-1]
 
-    monkeypatch.setattr("contextuality.cli.gyo_core", recording_gyo_core)
+    monkeypatch.setattr("contextuality.scan.gyo_core", recording_gyo_core)
     code, out, err = run(capsys, "conjecture-scan", "--max-qubits", "2", "--set-size", "4",
                          "--exhaustive", "--format", "json")
     assert code == 0, err
