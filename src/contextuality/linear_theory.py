@@ -94,6 +94,15 @@ class LinearTheory:
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "equations", _reduce_per_context(eqs))
 
+    @classmethod
+    def _from_reduced(cls, scenario: MeasurementScenario,
+                      equations: Iterable[LinearEquation]) -> "LinearTheory":
+        """Trust equations already in canonical form: reduced per context, sorted."""
+        theory = object.__new__(cls)
+        object.__setattr__(theory, "scenario", scenario)
+        object.__setattr__(theory, "equations", tuple(equations))
+        return theory
+
     def __len__(self) -> int:
         return len(self.equations)
 

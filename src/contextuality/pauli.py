@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gf2
 from .errors import ClosureLimitError, ParseError, ValidationError
-from .linear_theory import LinearEquation, LinearTheory, is_consistent
+from .linear_theory import LinearEquation, LinearTheory
 from .scenario import Context, MeasurementScenario
 
 CLOSURE_LIMIT = 4096
@@ -244,33 +244,49 @@ def _max_cliques(neighbors: list[int]) -> list[int]:
     return out
 
 
-def measurement_cover(s: PauliSet) -> tuple[Context, ...]:
-    """Maximal pairwise-commuting subsets as contexts, identity-likes dropped.
-
-    Maximal cliques of a graph are never nested, so the result is a
-    covering anti-chain over the non-identity members by construction.
-    """
+def _vertices(s: PauliSet) -> tuple[list[int], list[str]]:
+    """Word and label of each non-identity member, in member order."""
     verts = [op for op in s.members if not op.is_identity_like()]
-    if not verts:
-        return ()
-    words = [_word(op) for op in verts]
-    swaps = [_swap(w, s.num_qubits) for w in words]
+    return [_word(op) for op in verts], [str(op) for op in verts]
+
+
+def _cliques(words: list[int], n: int) -> list[int]:
+    """Maximal commuting cliques of the words, as masks over their positions."""
+    swaps = [_swap(w, n) for w in words]
     neighbors = [0] * len(words)
     for i, a in enumerate(words):
         for j in range(i + 1, len(words)):
             if not (a & swaps[j]).bit_count() & 1:
                 neighbors[i] |= 1 << j
                 neighbors[j] |= 1 << i
-    labels = [str(op) for op in verts]
-    return tuple(sorted(
-        Context(labels[i] for i in range(len(labels)) if clique >> i & 1)
-        for clique in _max_cliques(neighbors)))
+    return _max_cliques(neighbors) if words else []
+
+
+def _cover(words: list[int], labels: list[str], n: int) -> list[tuple[Context, list[int]]]:
+    """Maximal commuting cliques as sorted contexts, each with its members'
+    words in the context's label order."""
+    out = []
+    for clique in _cliques(words, n):
+        members = sorted((labels[i], words[i]) for i in range(len(words)) if clique >> i & 1)
+        out.append((Context(lab for lab, _ in members), [w for _, w in members]))
+    out.sort(key=lambda pair: pair[0])
+    return out
+
+
+def measurement_cover(s: PauliSet) -> tuple[Context, ...]:
+    """Maximal pairwise-commuting subsets as contexts, identity-likes dropped.
+
+    Maximal cliques of a graph are never nested, so the result is a
+    covering anti-chain over the non-identity members by construction.
+    """
+    return tuple(ctx for ctx, _ in _cover(*_vertices(s), s.num_qubits))
 
 
 def scenario_of(s: PauliSet) -> MeasurementScenario:
     """The Z2 measurement scenario a Pauli set generates."""
-    labels = [str(op) for op in s.members if not op.is_identity_like()]
-    return MeasurementScenario(labels, measurement_cover(s), (0, 1), "Z2")
+    words, labels = _vertices(s)
+    cover = _cover(words, labels, s.num_qubits)
+    return MeasurementScenario(labels, [ctx for ctx, _ in cover], (0, 1), "Z2")
 
 
 def _closure_with_derivations(
@@ -323,40 +339,74 @@ def partial_closure(s: PauliSet) -> PauliSet:
     return PauliSet(s.num_qubits, [_operator(w, s.num_qubits) for w in words])
 
 
+def _parity_rows(words: list[int], n: int) -> list[int]:
+    """Reduced parity rows r | sign << k of one context's k member words.
+
+    Bit i of r flags words[i]. The kernel of the context's bit matrix is
+    the member subsets whose product is +-identity, and the product's
+    sign, 1 for -identity, is linear in the kernel because Hermitian
+    members square to the identity; so one rref of the kernel rows with
+    the sign appended gives the context's reduced equations.
+    """
+    k = len(words)
+    transpose = [sum((w >> bit & 1) << i for i, w in enumerate(words))
+                 for bit in range(2 * n)]
+    rows = []
+    for r in gf2.nullspace(transpose, k):
+        prod = 0
+        for i, w in enumerate(words):
+            if r >> i & 1:
+                prod = _mul(prod, w, n)
+        if prod not in (0, 2 << 2 * n):
+            raise AssertionError(
+                f"kernel product {_operator(prod, n)} is not +-identity")
+        rows.append(r | (prod >> 2 * n + 1) << k)
+    return gf2.rref(rows)[0]
+
+
 def state_independent_theory(s: PauliSet) -> LinearTheory:
     """Parity equations every quantum state's outcomes satisfy.
 
     For each context, products of member subsets that collapse to +-identity
-    pin the mod-2 sum of those outcomes to the product's sign. The subsets
-    form the kernel of the context's bit matrix, and the sign is linear in
-    the kernel because Hermitian members square to the identity.
+    pin the mod-2 sum of those outcomes to the product's sign; the theory
+    holds each context's reduced basis of them (``_parity_rows``).
     """
     n = s.num_qubits
-    scenario = scenario_of(s)
-    by_label = {str(op): _word(op) for op in s.members if not op.is_identity_like()}
+    words, labels = _vertices(s)
+    cover = _cover(words, labels, n)
     equations = []
-    for ctx in scenario.contexts:
-        words = [by_label[m] for m in ctx.members]
-        k = len(words)
-        transpose = [sum((w >> bit & 1) << i for i, w in enumerate(words))
-                     for bit in range(2 * n)]
-        for r in gf2.nullspace(transpose, k):
-            prod = 0
-            for i, w in enumerate(words):
-                if r >> i & 1:
-                    prod = _mul(prod, w, n)
-            if prod not in (0, 2 << 2 * n):
-                raise AssertionError(
-                    f"kernel product {_operator(prod, n)} is not +-identity")
-            equations.append(LinearEquation(
-                ctx, tuple(r >> i & 1 for i in range(k)), prod >> 2 * n + 1))
-    return LinearTheory(scenario, equations)
+    for ctx, ctx_words in cover:
+        k = len(ctx_words)
+        rows = sorted((tuple(row >> i & 1 for i in range(k)), row >> k)
+                      for row in _parity_rows(ctx_words, n))
+        equations.extend(LinearEquation(ctx, coefs, sign) for coefs, sign in rows)
+    scenario = MeasurementScenario(labels, [ctx for ctx, _ in cover], (0, 1), "Z2")
+    return LinearTheory._from_reduced(scenario, equations)
 
 
 def is_state_independent_avn(s: PauliSet, in_closure: bool = False) -> bool:
-    """Is the set's (or its closure's) state-independent theory inconsistent?"""
+    """Is the set's (or its closure's) state-independent theory inconsistent?
+
+    Decided without building the theory: every context's parity rows go
+    into one affine system over the non-identity members, which stops at
+    the first 0 = 1. Reduction inside a context keeps its row span, so
+    this is the system ``is_consistent`` solves for the theory.
+    """
     target = partial_closure(s) if in_closure else s
-    return not is_consistent(state_independent_theory(target)).consistent
+    n = target.num_qubits
+    words = [_word(op) for op in target.members if not op.is_identity_like()]
+    system = gf2.AffineBasis(len(words))
+    for clique in _cliques(words, n):
+        index = [i for i in range(len(words)) if clique >> i & 1]
+        for row in _parity_rows([words[i] for i in index], n):
+            mask = 0
+            for j, i in enumerate(index):
+                if row >> j & 1:
+                    mask |= 1 << i
+            system.add(mask, row >> len(index))
+            if system.conflict is not None:
+                return True
+    return False
 
 
 # --------------------------------------------------------- determining trees

@@ -18,9 +18,12 @@ Floats enter only with the unit ``StateVector``, whose Pauli rows run
 through the same engine in floating point, and with equatorial observables
 cos(a) X + sin(a) Y, measured by sequential eigenprojections. Their rows
 are snapped to the nearest rational with denominator at most 2^16. If any
-weight sits further than 1e-9 from such a rational, exactification is
-refused and a float-tagged distribution is returned instead; float-tagged
-rows never enter the exact analysis stack.
+weight sits further than 1e-12 from such a rational, or the snapped
+weights do not sum to exactly 1, exactification is refused and a
+float-tagged distribution is returned instead; float-tagged rows never
+enter the exact analysis stack. Best approximations with such
+denominators are usually within 2^-32 of a float, so a looser residual
+would snap almost any row.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .scenario import Assignment, Context, Label, MeasurementScenario
 
 QUBIT_LIMIT = 10
 MAX_DENOMINATOR = 1 << 16
-RESIDUAL_TOLERANCE = 1e-9
+RESIDUAL_TOLERANCE = 1e-12
 NORM_TOLERANCE = 1e-9
 
 
@@ -226,17 +229,11 @@ def _exactify(context: Context, outcomes, float_weights: dict[Assignment, float]
     total = sum(float_weights.values())
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"probabilities sum to {total}")
-    snapped = {}
-    residual = 0.0
-    for s, p in float_weights.items():
-        q = Fraction(p).limit_denominator(MAX_DENOMINATOR)
-        residual = max(residual, abs(p - float(q)))
-        snapped[s] = q
-    if residual > RESIDUAL_TOLERANCE:
+    snapped = {s: Fraction(p).limit_denominator(MAX_DENOMINATOR)
+               for s, p in float_weights.items()}
+    residual = max(abs(p - float(snapped[s])) for s, p in float_weights.items())
+    if residual > RESIDUAL_TOLERANCE or sum(snapped.values()) != 1:
         return FloatDistribution(context, float_weights, residual)
-    scale = sum(snapped.values())
-    if scale != 1:
-        snapped = {s: q / scale for s, q in snapped.items()}
     return ContextDistribution(context, outcomes, snapped)
 
 
@@ -449,6 +446,8 @@ _ANGLE_PATTERN = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
 def parse_angle(text: object) -> float:
     """Angles as decimals or multiples of pi: ``"0"``, ``"pi/3"``, ``"2*pi/3"``."""
+    if isinstance(text, bool):
+        raise ParseError(f"malformed angle {text!r}")
     if isinstance(text, (int, float)):
         return float(text)
     if not isinstance(text, str):

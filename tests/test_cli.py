@@ -186,6 +186,19 @@ def test_realize_equatorial(tmp_path, capsys):
 
 
 
+def test_realize_irrational_equatorial_row_is_float(tmp_path, capsys):
+    # cos(1 rad) is irrational, so no snap of this row may pass as exact
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(
+        {"measurements": ["IX", "XI"], "contexts": [["IX", "XI"]]}))
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(json.dumps({"XI": {"party": 0, "angle": 1},
+                                   "IX": {"party": 1, "angle": "0"}}))
+    payload = run_json(capsys, "realize", "--state", "ghz2", "--scenario",
+                       str(scenario_path), "--equatorial", str(eq_path))
+    assert payload["exact"] is False
+
+
 @pytest.mark.parametrize("entry", [{"party": "a", "angle": 0},
                                    {"party": 0, "angle": "pi/0"},
                                    {"party": 1.7, "angle": 0},
@@ -232,12 +245,16 @@ def _model_with_boolean_weights():
     ("model", _model_with_boolean_weights()),
     ("state", {"n": 1, "amplitudes": [[True, "0"], ["0", "0"]]}),
     ("state", {"n": True, "amplitudes": [["1", "0"], ["0", "0"]]}),
+    ("scenario", {**scenario_to_dict(chsh_scenario()), "outcomes": [False, True]}),
+    ("equatorial", {"XI": {"party": 0, "angle": True}}),
 ])
 def test_json_booleans_are_not_numbers_exit_3(tmp_path, capsys, kind, data):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
-    if kind == "model":
+    if kind in ("model", "scenario"):
         argv = ["validate", str(path)]
+    elif kind == "equatorial":
+        argv = ["realize", "--state", "ghz2", "--corpus", "xz222", "--equatorial", str(path)]
     else:
         scenario_path = tmp_path / "z.json"
         scenario_path.write_text(json.dumps(

@@ -8,6 +8,8 @@ import pytest
 from contextuality import (
     ClosureLimitError,
     DeterminingTree,
+    LinearEquation,
+    LinearTheory,
     ParseError,
     PauliOperator,
     PatternTestResult,
@@ -26,6 +28,7 @@ from contextuality import (
     state_independent_theory,
     validate_scenario,
 )
+from contextuality import gf2
 from contextuality.pauli import (
     CLOSURE_LIMIT,
     GRAPH_CLASS_NAMES,
@@ -38,6 +41,7 @@ from contextuality.pauli import (
     _word,
 )
 from contextuality.corpus import mermin_square_set, mermin_star_set, xz222_set
+from contextuality.scenario import Context, MeasurementScenario
 
 I2 = np.eye(2, dtype=complex)
 MX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -475,3 +479,82 @@ def test_kl_pattern_test_against_reference_closure():
         assert kl_pattern_test(s) == expected
         verdicts.add(expected.avn)
     assert verdicts == {False, True}
+
+
+# ------------------------------------------------- reference for the theory
+
+def random_theory_set(rng):
+    """3-8 Hermitian words on 1-4 qubits: signed, some with x and -x, some with +-I."""
+    n = rng.randint(1, 4)
+    ops = {random_operator(rng, n, hermitian=True) for _ in range(rng.randint(3, 8))}
+    if rng.random() < 0.3:
+        ops.add(min(ops, key=str).negate())
+    if rng.random() < 0.2:
+        ops.add(identity(n).negate() if rng.random() < 0.5 else identity(n))
+    return PauliSet(n, ops)
+
+
+def reference_theory(s):
+    """The two-pass build on objects: one equation per kernel vector, then
+    the reducing LinearTheory constructor."""
+    n = s.num_qubits
+    verts = [op for op in s.members if not op.is_identity_like()]
+    neighbors = [sum(1 << j for j, b in enumerate(verts) if j != i and a.commutes(b))
+                 for i, a in enumerate(verts)]
+    cover = [Context(str(verts[i]) for i in range(len(verts)) if clique >> i & 1)
+             for clique in (_max_cliques(neighbors) if verts else ())]
+    scenario = MeasurementScenario([str(op) for op in verts], cover, (0, 1), "Z2")
+    by_label = {str(op): op for op in verts}
+    equations = []
+    for ctx in scenario.contexts:
+        ops = [by_label[m] for m in ctx.members]
+        transpose = [sum((_word(op) >> bit & 1) << i for i, op in enumerate(ops))
+                     for bit in range(2 * n)]
+        for r in gf2.nullspace(transpose, len(ops)):
+            prod = identity(n)
+            for i, op in enumerate(ops):
+                if r >> i & 1:
+                    prod = prod * op
+            assert prod.is_identity_like()
+            equations.append(LinearEquation(
+                ctx, [r >> i & 1 for i in range(len(ops))], prod.phase // 2))
+    return LinearTheory(scenario, equations)
+
+
+def test_theory_and_si_avn_against_two_pass_reference():
+    rng = random.Random(45)
+    sets = [random_theory_set(rng) for _ in range(48)]
+    # the random sets are never inconsistent before closure; these are
+    square, i = list(mermin_square_set()), rng.randrange(9)
+    square[i] = square[i].negate()
+    sets += [mermin_square_set(), mermin_star_set(), PauliSet(2, square)]
+    verdicts = set()
+    for s in sets:
+        for b in (False, True):
+            target = partial_closure(s) if b else s
+            theory, reference = state_independent_theory(target), reference_theory(target)
+            assert theory.scenario == reference.scenario
+            assert theory.equations == reference.equations
+            expected = not is_consistent(reference).consistent
+            assert is_state_independent_avn(s, in_closure=b) == expected
+            verdicts.add((b, expected))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_theory_builds_each_equation_once(monkeypatch):
+    built = {"equation": 0, "reducing": 0}
+
+    def counting(cls, key, init):
+        def wrapper(self, *args, **kwargs):
+            built[key] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    counting(LinearEquation, "equation", LinearEquation.__init__)
+    counting(LinearTheory, "reducing", LinearTheory.__init__)
+    closed = partial_closure(xz222_set())
+    theory = state_independent_theory(closed)
+    assert built == {"equation": len(theory.equations), "reducing": 0}
+    built["equation"] = 0
+    assert is_state_independent_avn(closed) and is_state_independent_avn(xz222_set(), True)
+    assert built == {"equation": 0, "reducing": 0}

@@ -122,6 +122,27 @@ def test_dyadic_equatorial_rows_are_exact():
     assert set(row.weights.values()) == {half}
 
 
+def test_third_turn_equatorial_rows_are_exact():
+    row = born_distribution_equatorial(
+        plus(1), [EquatorialMeasurement(0, math.pi / 3)], labels=["m"])
+    assert sorted(row.weights.values()) == [Fraction(1, 4), Fraction(3, 4)]
+    row = born_distribution_equatorial(
+        ghz(2), [EquatorialMeasurement(0, math.pi / 3), EquatorialMeasurement(1, 0.0)])
+    assert sorted(row.weights.values()) == [Fraction(1, 8)] * 2 + [Fraction(3, 8)] * 2
+
+
+def test_random_angle_rows_are_float_tagged():
+    # best approximations with denominator <= 2^16 lie within 1e-9 of most floats,
+    # so only a tight residual and an exact sum keep these rows float-tagged
+    rng = random.Random(66)
+    exact = 0
+    for _ in range(500):
+        row = born_distribution_equatorial(
+            plus(1), [EquatorialMeasurement(0, rng.uniform(0, math.pi))], labels=["m"])
+        exact += not isinstance(row, FloatDistribution)
+    assert exact < 10
+
+
 def test_canonical_state_names():
     assert np.allclose(canonical_state("bell_phi_plus").amplitudes,
                        bell_phi_plus().amplitudes)
