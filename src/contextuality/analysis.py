@@ -25,6 +25,7 @@ hidden variable ranges over global assignments themselves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
@@ -48,12 +49,41 @@ GLOBAL_LIMIT = 1 << 20  # refuse incidence builds above this many columns
 
 
 @dataclass(frozen=True)
+class Columns(Sequence):
+    """The global assignments in column order, each decoded when read.
+
+    Column j holds the outcomes given by the base-d digits of j, the last
+    measurement least significant, so a verdict that reads no column
+    builds no assignment.
+    """
+
+    measurements: tuple[Label, ...]
+    outcomes: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.outcomes) ** len(self.measurements)
+
+    def __getitem__(self, j: int) -> Assignment:
+        n = len(self)
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError("column index out of range")
+        d = len(self.outcomes)
+        digits = []
+        for _ in self.measurements:
+            j, v = divmod(j, d)
+            digits.append(v)
+        return Assignment(self.measurements, digits[::-1])
+
+
+@dataclass(frozen=True)
 class IncidenceMatrix:
     """0/1 restriction matrix, rows as bitmasks over the column order."""
 
     scenario: MeasurementScenario
     row_index: tuple[tuple[Context, Assignment], ...]
-    columns: tuple[Assignment, ...]
+    columns: Columns
     row_masks: tuple[int, ...]
 
     @property
@@ -72,8 +102,7 @@ def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
     if d ** m > GLOBAL_LIMIT:
         raise SizeLimitError(
             f"{d ** m} global assignments exceed the {GLOBAL_LIMIT} column limit")
-    columns = enumerate_assignments(scenario.measurements, scenario.outcomes)
-    full = (1 << len(columns)) - 1
+    full = (1 << d ** m) - 1
     pattern = {}
     for i, label in enumerate(scenario.measurements):
         run = d ** (m - 1 - i)
@@ -89,7 +118,9 @@ def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
                 mask &= pattern[label, v]
             row_index.append((ctx, s))
             row_masks.append(mask)
-    return IncidenceMatrix(scenario, tuple(row_index), columns, tuple(row_masks))
+    return IncidenceMatrix(scenario, tuple(row_index),
+                           Columns(scenario.measurements, scenario.outcomes),
+                           tuple(row_masks))
 
 
 def model_vector(model: EmpiricalModel, incidence: IncidenceMatrix | None = None) -> list[Fraction]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import ParseError, ValidationError
@@ -125,20 +127,52 @@ class EmpiricalModel:
         return dist[Assignment.from_mapping(dict(values))]
 
 
+def _scaled_rows(dist: ContextDistribution) -> tuple[int, list[tuple[tuple[Outcome, ...], int]]]:
+    """A common denominator L of the weights, and each (values, weight * L)."""
+    scale = lcm(*(w.denominator for w in dist.weights.values()))
+    return scale, [(s.values, w.numerator * (scale // w.denominator))
+                   for s, w in dist.weights.items()]
+
+
+def _overlap_sums(scaled: list[tuple[tuple[Outcome, ...], int]],
+                  pos: list[int]) -> dict[tuple[Outcome, ...], int]:
+    """Scaled marginal on the positions ``pos``, keyed by the values there."""
+    sums: dict[tuple[Outcome, ...], int] = {}
+    for vals, w in scaled:
+        key = tuple([vals[p] for p in pos])
+        sums[key] = sums.get(key, 0) + w
+    return sums
+
+
 def check_no_signaling(model: EmpiricalModel) -> list[NoSignalingViolation]:
-    """Exact pairwise marginal comparison on every context overlap."""
+    """Exact pairwise marginal comparison on every context overlap.
+
+    Each context's weights are put over one integer denominator once and
+    summed once per overlap; an assignment and a violation are built only
+    where two contexts disagree, in outcome order within each pair.
+    """
     violations = []
     contexts = model.scenario.contexts
+    scales, scaled = {}, {}
+    for c in contexts:
+        scales[c], scaled[c] = _scaled_rows(model.rows[c])
+    sums: dict[tuple[Context, tuple[Label, ...]], dict] = {}
     for i, a in enumerate(contexts):
         for b in contexts[i + 1:]:
             shared = a.intersection(b)
             if not shared:
                 continue
-            ma = model.rows[a].marginal(shared)
-            mb = model.rows[b].marginal(shared)
-            for s in ma.weights:
-                if ma.weights[s] != mb.weights[s]:
-                    violations.append(NoSignalingViolation(a, b, s, ma.weights[s], mb.weights[s]))
+            for c in (a, b):
+                if (c, shared) not in sums:
+                    pos = [c.members.index(label) for label in shared]
+                    sums[c, shared] = _overlap_sums(scaled[c], pos)
+            la, lb = scales[a], scales[b]
+            ma, mb = sums[a, shared], sums[b, shared]
+            for vals in product(model.scenario.outcomes, repeat=len(shared)):
+                wa, wb = ma.get(vals, 0), mb.get(vals, 0)
+                if wa * lb != wb * la:
+                    violations.append(NoSignalingViolation(
+                        a, b, Assignment(shared, vals), Fraction(wa, la), Fraction(wb, lb)))
     return violations
 
 

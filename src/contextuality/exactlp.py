@@ -9,6 +9,17 @@ so Bland's rule (lowest eligible index for entering and leaving ties)
 makes the same pivots, and reaches the same vertex, as a tableau of
 fractions; it also guarantees termination under the degeneracy these
 polytopes are full of. Fractions are built only for the result.
+
+The tableau is compact, as in lrs (Avis): it holds ``[T | b]`` over the n
+nonbasic columns only, with a list naming the variable in each column, and
+never stores the m unit columns of the basis. A pivot swaps the entering
+variable's column for the leaving one's, whose entries follow from the
+pivot row alone. Bland's rule reads variable indices, not column
+positions: the entering variable is the lowest-indexed nonbasic one with a
+positive reduced cost, exactly the one the full tableau picks, since every
+basic column there has reduced cost zero. So the pivots, the vertex and
+``D`` are those of the full tableau, at half the row-update work when m
+is about n.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ from typing import Sequence
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
     """values times their least common denominator, and that denominator."""
+    if all(type(v) is int for v in values):  # incidence rows: nothing to scale
+        return list(values), 1
     fracs = [v if type(v) is int else Fraction(v) for v in values]
     scale = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (scale // f.denominator) for f in fracs], scale
@@ -46,15 +59,19 @@ def _simplex(rows: list[list[int]], cost: list[int]) -> tuple[list[int], int]:
 
     ``rows`` are integer ``[A_i | b_i]`` and ``cost`` the integer reduced
     costs of A's columns. Returns the vertex (x, s) times ``D``, and ``D``.
+    Variable j < n is x_j and n + i is the slack of row i. The tableau
+    carries only the n nonbasic columns; ``rows`` are updated in place.
     """
     m, n = len(rows), len(cost)
-    rows = [row[:-1] + [int(i == k) for k in range(m)] + row[-1:]
-            for i, row in enumerate(rows)]
-    cost = cost + [0] * m
+    nonbasic = list(range(n))
     basis = [n + i for i in range(m)]
     denom = 1
     while True:
-        enter = next((j for j in range(n + m) if cost[j] > 0), None)
+        # Bland: the lowest variable index, not column position, enters
+        enter, var = None, n + m
+        for j, c in enumerate(cost):
+            if c > 0 and nonbasic[j] < var:
+                enter, var = j, nonbasic[j]
         if enter is None:
             break
         # least b_i / a_ie over a_ie > 0, compared by cross-multiplying
@@ -71,18 +88,22 @@ def _simplex(rows: list[list[int]], cost: list[int]) -> tuple[list[int], int]:
             raise ArithmeticError("objective unbounded")
         # the pivot row keeps its entries and its pivot is the new D; each
         # entry is D times the rational tableau's, an entry of adj(B)[A | I | b],
-        # so every // below is exact
+        # so every // below is exact. Column ``enter`` then holds the leaving
+        # variable: D in the pivot row, -f in every other row.
         prow = rows[leave]
         p = prow[enter]
         for i, row in enumerate(rows):
             f = row[enter]
             if f and i != leave:
-                rows[i] = [(p * a - f * b) // denom for a, b in zip(row, prow)]
+                row = rows[i] = [(p * a - f * b) // denom for a, b in zip(row, prow)]
+                row[enter] = -f
             elif not f and p != denom:
                 rows[i] = [p * a // denom for a in row]
         f = cost[enter]
         cost = [(p * a - f * b) // denom for a, b in zip(cost, prow)]
-        basis[leave] = enter
+        cost[enter] = -f
+        prow[enter] = denom
+        nonbasic[enter], basis[leave] = basis[leave], var
         denom = p
     values = [0] * (n + m)
     for row, var in zip(rows, basis):

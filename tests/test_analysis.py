@@ -275,7 +275,8 @@ def test_bitmask_incidence_matches_restriction_reference():
         scenario = random_possibilistic(rng).scenario
         inc = build_incidence(scenario)
         assert inc.row_masks == reference_incidence_masks(scenario)
-        assert inc.columns == enumerate_assignments(scenario.measurements, scenario.outcomes)
+        assert tuple(inc.columns) == enumerate_assignments(scenario.measurements, scenario.outcomes)
+        assert inc.columns[-1] == inc.columns[len(inc.columns) - 1]
         assert inc.row_index == tuple(
             (ctx, s) for ctx in scenario.contexts
             for s in enumerate_assignments(ctx.members, scenario.outcomes))
@@ -298,3 +299,48 @@ def test_section_verdicts_match_backtracking_reference():
         kinds["strong" if not sections else
               "logical" if any(missed.values()) else "neither"] += 1
     assert min(kinds.values()) > 10  # every branch of the hierarchy is exercised
+
+
+def parity_ring(n, parity):
+    """n measurements in a cycle of 2-member contexts; edge i fixes x_i + x_i+1,
+    all edges even but the last, which has ``parity``. An odd ring has no
+    global section; an even one has exactly two."""
+    labels = [f"m{i:02d}" for i in range(n)]
+    scenario = MeasurementScenario(
+        labels, [[labels[i], labels[(i + 1) % n]] for i in range(n)], (0, 1))
+    supports = {}
+    for i in range(n):
+        ctx = Context([labels[i], labels[(i + 1) % n]])
+        c = parity if i == n - 1 else 0
+        supports[ctx] = [s for s in enumerate_assignments(ctx.members, (0, 1))
+                         if sum(s.values) % 2 == c]
+    return PossibilisticModel(scenario, supports)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_rings_match_backtracking_reference(n):
+    for parity in (0, 1):
+        poss = parity_ring(n, parity)
+        sections = reference_sections(poss)
+        assert len(sections) == 2 * (1 - parity)
+        for model in (poss, uniform_model(poss)):
+            assert global_sections(model) == sections
+            assert is_strongly_contextual(model) == (not sections)
+            assert is_logically_contextual(model) == (not sections)
+
+
+def test_large_ring_decides_without_building_columns(monkeypatch):
+    poss = parity_ring(18, 1)
+    built = [0]
+    init = Assignment.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Assignment, "__init__", counting)
+    assert is_strongly_contextual(poss)
+    assert is_logically_contextual(poss)
+    assert global_sections(poss) == ()
+    assert len(build_incidence(poss.scenario).columns) == 1 << 18
+    assert built[0] < 1000  # not one per each of the 2^18 columns

@@ -10,6 +10,7 @@ from contextuality import (
     ContextDistribution,
     EmpiricalModel,
     MeasurementScenario,
+    NoSignalingViolation,
     ValidationError,
     check_no_signaling,
     convex_mix,
@@ -129,3 +130,74 @@ def test_random_mixtures_stay_no_signaling():
     for _ in range(20):
         lam = Fraction(rng.randrange(0, 65), 64)
         assert is_no_signaling(convex_mix(a, b, lam))
+
+
+# ---------------------------------------------------------------- reference
+# The pairwise loop over ContextDistribution.marginal objects, kept as the
+# oracle for the marginal sums: same violations, in the same order.
+
+def reference_check_no_signaling(model):
+    violations = []
+    contexts = model.scenario.contexts
+    for i, a in enumerate(contexts):
+        for b in contexts[i + 1:]:
+            shared = a.intersection(b)
+            if not shared:
+                continue
+            ma = model.rows[a].marginal(shared)
+            mb = model.rows[b].marginal(shared)
+            for s in ma.weights:
+                if ma.weights[s] != mb.weights[s]:
+                    violations.append(NoSignalingViolation(a, b, s, ma.weights[s], mb.weights[s]))
+    return violations
+
+
+def _assert_matches_reference(model):
+    got = check_no_signaling(model)
+    want = reference_check_no_signaling(model)
+    assert got == want
+    # dataclass equality would take an int 0 for Fraction(0); require Fractions
+    assert all(type(v.value_a) is type(v.value_b) is Fraction for v in got)
+    assert is_no_signaling(model) == (not want)
+    return got
+
+
+def _corpus_models():
+    from contextuality.corpus import REGISTRY
+    return [entry.build() for entry in REGISTRY.values() if entry.kind == "model"]
+
+
+def test_no_signaling_matches_reference_on_corpus():
+    models = _corpus_models()
+    assert len(models) >= 6
+    for model in models:
+        _assert_matches_reference(model)
+
+
+def _xy_model(rng):
+    from contextuality.corpus import xy322_scenario
+    from contextuality.realize import realize_model_exact
+    amps = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(8)]
+    return realize_model_exact(amps, xy322_scenario())
+
+
+def test_no_signaling_matches_reference_on_signalling_models():
+    rng = random.Random(71)
+    bases = _corpus_models()
+    wide = 0
+    for k in range(30):
+        base = _xy_model(rng) if k % 3 == 0 else rng.choice(bases)
+        ctx = rng.choice(base.scenario.contexts)
+        while True:  # a row whose marginals still agree is redrawn
+            raw = [rng.randrange(0, 5) for _ in base.rows[ctx].weights]
+            if not sum(raw):
+                continue
+            rows = dict(base.rows)
+            rows[ctx] = ContextDistribution(ctx, base.scenario.outcomes, {
+                s: Fraction(r, sum(raw)) for s, r in zip(base.rows[ctx].weights, raw)})
+            model = EmpiricalModel(base.scenario, rows)
+            if reference_check_no_signaling(model):
+                break
+        got = _assert_matches_reference(model)
+        wide += any(len(v.restriction.labels) >= 2 for v in got)
+    assert wide >= 5  # overlaps of two labels disagree, not only single ones

@@ -118,7 +118,10 @@ def _bland(matrix, cost):
             raise ArithmeticError("objective unbounded")
         leave = min(ratios)[2]
         prow = [v / matrix[leave][enter] for v in matrix[leave]]
-        matrix = [prow if i == leave else [a - r[enter] * b for a, b in zip(r, prow)]
+        # a row with a zero in the entering column is unchanged, and so is
+        # an entry above a zero of the pivot row
+        matrix = [prow if i == leave else
+                  [a - r[enter] * b if b else a for a, b in zip(r, prow)] if r[enter] else r
                   for i, r in enumerate(matrix)]
         cost = [a - cost[enter] * b for a, b in zip(cost, prow)]
         basis[leave] = enter
@@ -230,3 +233,37 @@ def test_maximize_matches_fraction_tableau_on_bell_lps():
         model = convex_mix(chsh, box, Fraction(rng.randrange(0, 9), 8))
         vec = model_vector(model, inc)
         assert maximize([1] * n, lhs, vec) == reference_maximize([1] * n, lhs, vec)
+
+
+def test_compact_tableau_matches_fraction_tableau_on_xy_lps():
+    # the benchmark's LP: the dense 64x64 three-party X/Y incidence, with V
+    # realized exactly from Gaussian-integer states; both the ncf LP and
+    # the phase one of find_global_distribution
+    from contextuality.analysis import (
+        _bits, _survivors, build_incidence, find_global_distribution, model_vector)
+    from contextuality.corpus import xy322_scenario
+    from contextuality.realize import realize_model_exact
+
+    scenario = xy322_scenario()
+    inc = build_incidence(scenario)
+    assert inc.shape == (64, 64)
+    lhs = [[(mask >> j) & 1 for j in range(64)] for mask in inc.row_masks]
+    verdicts = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        amps = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(8)]
+        model = realize_model_exact(amps, scenario)
+        vec = model_vector(model, inc)
+        assert maximize([1] * 64, lhs, vec) == reference_maximize([1] * 64, lhs, vec)
+        # phase one sees the positive rows and the surviving columns
+        cols = _bits(_survivors(inc, vec))
+        rows = [(mask, v) for mask, v in zip(inc.row_masks, vec) if v]
+        x = reference_feasible_equalities([[(mask >> j) & 1 for j in cols] for mask, _ in rows],
+                                          [v for _, v in rows])
+        found = find_global_distribution(model)
+        if x is None:
+            assert found is None
+        else:
+            assert found.weights == {inc.columns[j]: xj for j, xj in zip(cols, x) if xj}
+        verdicts.append(found is not None)
+    assert any(verdicts) and not all(verdicts)
