@@ -15,7 +15,10 @@ measurement admitting determining trees for x and -x over the same
 odd-multiplicity leaf set rules out any global eigenvalue assignment.
 Those searches run on operators packed into one integer word,
 phase<<2n | x<<n | z, the symplectic form of Aaronson and Gottesman, and
-build PauliOperator objects only for what they return.
+build PauliOperator objects only for what they return. No closure is
+built to decide closure AvN: by Kirby and Love (PRL 123, 200501, 2019) it
+holds exactly when commutation is not transitive outside the centre, the
+members that commute with every member.
 """
 
 from __future__ import annotations
@@ -250,8 +253,8 @@ def _vertices(s: PauliSet) -> tuple[list[int], list[str]]:
     return [_word(op) for op in verts], [str(op) for op in verts]
 
 
-def _cliques(words: list[int], n: int) -> list[int]:
-    """Maximal commuting cliques of the words, as masks over their positions."""
+def _neighbors(words: list[int], n: int) -> list[int]:
+    """Each word's commuting neighbours, itself excluded, as a mask over positions."""
     swaps = [_swap(w, n) for w in words]
     neighbors = [0] * len(words)
     for i, a in enumerate(words):
@@ -259,7 +262,23 @@ def _cliques(words: list[int], n: int) -> list[int]:
             if not (a & swaps[j]).bit_count() & 1:
                 neighbors[i] |= 1 << j
                 neighbors[j] |= 1 << i
-    return _max_cliques(neighbors) if words else []
+    return neighbors
+
+
+def _cliques(words: list[int], n: int) -> list[int]:
+    """Maximal commuting cliques of the words, as masks over their positions."""
+    return _max_cliques(_neighbors(words, n)) if words else []
+
+
+def _intransitive(neighbors: list[int], within: int) -> bool:
+    """Do two commuting vertices of ``within`` outside its centre, the vertices
+    commuting with all of it, have different closed neighbourhoods there?"""
+    closed = {v: (neighbors[v] | 1 << v) & within
+              for v in range(len(neighbors)) if within >> v & 1}
+    outside = sum(1 << v for v, nbrs in closed.items() if nbrs != within)
+    return any((closed[b] ^ closed[c]) & outside
+               for b in closed if outside >> b & 1
+               for c in closed if (neighbors[b] & outside) >> c & 1)
 
 
 def _cover(words: list[int], labels: list[str], n: int) -> list[tuple[Context, list[int]]]:
@@ -387,14 +406,17 @@ def state_independent_theory(s: PauliSet) -> LinearTheory:
 def is_state_independent_avn(s: PauliSet, in_closure: bool = False) -> bool:
     """Is the set's (or its closure's) state-independent theory inconsistent?
 
-    Decided without building the theory: every context's parity rows go
-    into one affine system over the non-identity members, which stops at
-    the first 0 = 1. Reduction inside a context keeps its row span, so
-    this is the system ``is_consistent`` solves for the theory.
+    Neither builds a theory. The bare set's parity rows go into one affine
+    system over the non-identity members, the one ``is_consistent`` solves,
+    which stops at the first 0 = 1. The closure is not built either (Kirby
+    and Love, PRL 123, 200501, 2019): its theory is inconsistent exactly when
+    some commuting a ~ b ~ c outside the centre, the members commuting with
+    every member, has a and c anticommuting.
     """
-    target = partial_closure(s) if in_closure else s
-    n = target.num_qubits
-    words = [_word(op) for op in target.members if not op.is_identity_like()]
+    n = s.num_qubits
+    words = [_word(op) for op in s.members if not op.is_identity_like()]
+    if in_closure:
+        return _intransitive(_neighbors(words, n), (1 << len(words)) - 1)
     system = gf2.AffineBasis(len(words))
     for clique in _cliques(words, n):
         index = [i for i in range(len(words)) if clique >> i & 1]
@@ -621,15 +643,9 @@ GRAPH_CLASS_NAMES = {
     63: "complete",
 }
 
-# Closure-AvN verdict by commutation pattern for 4-element sets of
-# two-qubit observables, derived by exhausting all 1365 4-subsets of the
-# fifteen positive nontrivial two-qubit Paulis with the direct closure
-# decision; every class that occurs is unanimous. The triangle, diamond,
-# and complete patterns cannot occur on two qubits: two elements of a
-# triangle determine the third up to sign, so a fourth vertex that
-# commutes, or anticommutes, with two of them always commutes with the
-# third, and a commuting 4-clique would need a fourth positive element
-# in a maximal abelian subgroup that has only three.
+# Closure-AvN verdict by commutation pattern for 4-element sets without
+# identity-like members: the rule of is_state_independent_avn reads only the
+# graph, so tests derive each entry from one representative graph per class.
 PATTERN_TABLE = {
     "empty": False,
     "single-edge": False,
@@ -676,12 +692,14 @@ class PatternTestResult:
 def kl_pattern_test(s: PauliSet) -> PatternTestResult:
     """Scan 4-element subsets for one whose closure theory is inconsistent.
 
-    The direct closure decision is the source of truth; the cached
-    PATTERN_TABLE classifies the reported subset. Returns the
-    lexicographically least positive subset in canonical member order.
+    Each subset is decided by the rule of ``is_state_independent_avn`` on the
+    set's neighbour masks; PATTERN_TABLE names the reported subset's class.
+    Returns the lexicographically least positive subset in canonical order.
     """
-    for subset in combinations(s.members, 4):
-        sub = PauliSet(s.num_qubits, subset)
-        if is_state_independent_avn(sub, in_closure=True):
+    neighbors = _neighbors([_word(op) for op in s.members], s.num_qubits)
+    verts = sum(1 << i for i, op in enumerate(s.members) if not op.is_identity_like())
+    for index in combinations(range(len(s.members)), 4):
+        if _intransitive(neighbors, verts & sum(1 << i for i in index)):
+            subset = tuple(s.members[i] for i in index)
             return PatternTestResult(True, subset, pattern_key(subset))
     return PatternTestResult(False, None, None)

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .analysis import find_global_distribution
-from .errors import ClosureLimitError, ValidationError
+from .errors import ValidationError
 from .pauli import PauliOperator, PauliSet, is_state_independent_avn, scenario_of
 from .realize import context_eigenstate, realize_model_exact
 from .scenario import gyo_core
@@ -111,7 +111,8 @@ def conjecture_scan(num_qubits: int, set_size: int, *, samples: int, states: int
     A cyclic cover is probed with ``states`` random rational states besides
     its context eigenstates and Bell-facet eigenvectors; an acyclic one is
     noncontextual for every state (``gyo_core``). Bad arguments raise
-    ``ValidationError``; a set whose closure is too large counts as skipped.
+    ``ValidationError``. Closure AvN is decided without a closure, so no
+    set is skipped.
     """
     n, k = num_qubits, set_size
     if not 1 <= n <= 3:
@@ -137,13 +138,10 @@ def conjecture_scan(num_qubits: int, set_size: int, *, samples: int, states: int
         drawn = {tuple(sorted(rng.sample(pool, k), key=str)) for _ in range(samples)}
         subsets = sorted(drawn, key=lambda ops: tuple(map(str, ops)))
 
-    found = []  # (labels, closure AvN, first witness state or None) per set not skipped
+    found = []  # (labels, closure AvN, first witness state or None) per set
     for subset in subsets:
         pset = PauliSet(n, subset)
-        try:
-            avn = is_state_independent_avn(pset, in_closure=True)
-        except ClosureLimitError:
-            continue
+        avn = is_state_independent_avn(pset, in_closure=True)
         scenario = scenario_of(pset)
         cyclic = gyo_core(scenario.contexts)  # acyclic: noncontextual for every state
         probes = _probe_states(pset, scenario, states, rng) if cyclic else ()
@@ -153,8 +151,7 @@ def conjecture_scan(num_qubits: int, set_size: int, *, samples: int, states: int
     counterexamples = [{"paulis": labels, "state": [[str(re), str(im)] for re, im in vec]}
                        for labels, avn, vec in found if vec is not None and not avn]
     return ScanResult(
-        num_qubits=n, set_size=k, sets_scanned=len(found),
-        sets_skipped=len(subsets) - len(found),
+        num_qubits=n, set_size=k, sets_scanned=len(found), sets_skipped=0,
         closure_avn_count=sum(avn for _, avn, _ in found),
         contextual_count=sum(vec is not None for _, _, vec in found),
         counterexamples=counterexamples,

@@ -35,6 +35,7 @@ from contextuality import (
     kl_witness,
     noncontextual_fraction,
     partial_closure,
+    pattern_key,
     possibilistic_collapse,
     realize_model,
     state_independent_theory,
@@ -55,6 +56,7 @@ from contextuality.corpus import (
     xz222_model,
     xz222_scenario,
 )
+from contextuality.pauli import PATTERN_TABLE
 
 F = Fraction
 
@@ -315,6 +317,7 @@ def test_criterion_12_kl_pattern_consistency():
         s = PauliSet(2, combo)
         direct = is_state_independent_avn(s, in_closure=True)
         assert kl_pattern_test(s).avn == direct
+        assert PATTERN_TABLE[pattern_key(combo)] == direct
         if kl_witness(s) is not None:
             assert direct
         scanned += 1

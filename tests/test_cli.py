@@ -299,6 +299,17 @@ def test_si_avn_verdicts(capsys):
     assert payload["si_avn"] is True
 
 
+def test_si_avn_in_closure_answers_past_the_closure_cap(capsys):
+    # holds XI IX ZI IZ on its first two qubits, and closure AvN is monotone in the set
+    labels = ["I" * i + p + "I" * (6 - i) for i in range(7) for p in "XZ"]
+    payload = run_json(capsys, "si-avn", "--in-closure", *labels)
+    assert payload["si_avn"] is True
+    for command in ("closure", "kl-test"):  # both still build the closure
+        code, out, err = run(capsys, command, *labels)
+        assert (code, out) == (2, "")
+        assert "partial closure exceeds 4096 members" in err
+
+
 def test_kl_test_finds_witness(capsys):
     payload = run_json(capsys, "kl-test", "IX", "XI", "IZ", "ZI")
     assert payload["witness_found"] is True

@@ -33,7 +33,10 @@ from contextuality.pauli import (
     CLOSURE_LIMIT,
     GRAPH_CLASS_NAMES,
     PATTERN_TABLE,
+    _EDGE_ORDER,
+    _PERMS4,
     _closure_with_derivations,
+    _intransitive,
     _max_cliques,
     _mul,
     _operator,
@@ -41,6 +44,7 @@ from contextuality.pauli import (
     _word,
 )
 from contextuality.corpus import mermin_square_set, mermin_star_set, xz222_set
+from contextuality.scan import _positive_paulis
 from contextuality.scenario import Context, MeasurementScenario
 
 I2 = np.eye(2, dtype=complex)
@@ -265,6 +269,21 @@ def test_pattern_table_against_direct_decision_sampled():
         assert PATTERN_TABLE[pattern_key(subset)] == direct
 
 
+def test_pattern_table_is_the_rule_on_one_graph_per_class():
+    derived = {}
+    for code, name in GRAPH_CLASS_NAMES.items():
+        neighbors = [0] * 4
+        for bit, (i, j) in enumerate(_EDGE_ORDER):
+            if code >> bit & 1:
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+        relabeled = [sum(1 << bit for bit, (i, j) in enumerate(_EDGE_ORDER)
+                         if neighbors[perm[i]] >> perm[j] & 1) for perm in _PERMS4]
+        assert min(relabeled) == code  # the representative is the class's canonical code
+        derived[name] = _intransitive(neighbors, 0b1111)
+    assert derived == PATTERN_TABLE
+
+
 def test_kl_witness_on_corpus_sets():
     for s, expect in ((mermin_square_set(), True), (xz222_set(), True),
                       (mermin_star_set(), True),
@@ -481,11 +500,37 @@ def test_kl_pattern_test_against_reference_closure():
     assert verdicts == {False, True}
 
 
+# ------------------------------------------- the closure reference for the rule
+
+def reference_closure_avn(s):
+    """The closure-building decision: one GF(2) system over the closure's cover."""
+    return is_state_independent_avn(partial_closure(s))
+
+
+def test_closure_avn_rule_against_closure_reference():
+    rng = random.Random(46)
+    two, three = _positive_paulis(2), _positive_paulis(3)
+    sets = [PauliSet(2, c) for k in (2, 3, 4) for c in combinations(two, k)]
+    sets += [PauliSet(2, rng.sample(two, k)) for k in (5, 6) for _ in range(40)]
+    sets += [PauliSet(3, rng.sample(three, k)) for k in range(4, 9) for _ in range(12)]
+    signed = [random_theory_set(rng, max_qubits=3) for _ in range(150)]
+    verdicts = set()
+    for s in sets + signed:
+        expected = reference_closure_avn(s)
+        assert is_state_independent_avn(s, in_closure=True) == expected, s.labels()
+        verdicts.add((len(s.members), expected))
+    assert {(4, False), (4, True), (5, False), (5, True), (8, True)} <= verdicts
+    assert any(s.num_qubits == 1 for s in signed)
+    assert any(op.negate() in s for s in signed for op in s if not op.is_identity_like())
+    assert any(op.is_identity_like() for s in signed for op in s)
+
+
 # ------------------------------------------------- reference for the theory
 
-def random_theory_set(rng):
-    """3-8 Hermitian words on 1-4 qubits: signed, some with x and -x, some with +-I."""
-    n = rng.randint(1, 4)
+def random_theory_set(rng, max_qubits=4):
+    """3-8 Hermitian words on 1 to max_qubits qubits: signed, some with x and -x,
+    some with +-I."""
+    n = rng.randint(1, max_qubits)
     ops = {random_operator(rng, n, hermitian=True) for _ in range(rng.randint(3, 8))}
     if rng.random() < 0.3:
         ops.add(min(ops, key=str).negate())

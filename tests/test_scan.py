@@ -1,12 +1,13 @@
 """The conjecture scan as a library call."""
 
 import json
+import random
 from dataclasses import asdict
 
 import pytest
 
 import contextuality.scan
-from contextuality import ClosureLimitError, ValidationError
+from contextuality import ValidationError
 from contextuality.cli import main
 from contextuality.scan import ScanResult, conjecture_scan
 
@@ -40,15 +41,10 @@ def test_out_of_range_arguments_raise(num_qubits, set_size, options, message):
         conjecture_scan(num_qubits, set_size, **kwargs)
 
 
-def test_sets_beyond_the_closure_cap_count_as_skipped(monkeypatch):
-    real = contextuality.scan.is_state_independent_avn
-
-    def capped(pset, in_closure):
-        if "Y" in pset.labels():
-            raise ClosureLimitError("partial closure exceeds the cap")
-        return real(pset, in_closure=in_closure)
-
-    monkeypatch.setattr("contextuality.scan.is_state_independent_avn", capped)
-    result = conjecture_scan(1, 2, samples=1, states=0, seed=0, exhaustive=True)
-    assert (result.sets_scanned, result.sets_skipped) == (1, 2)  # XY and YZ skipped
-    assert result.closure_avn_count == result.contextual_count == 0
+def test_three_qubit_scan_skips_no_set():
+    rng = random.Random(2)  # the scan's own draw, to count its distinct sets
+    pool = contextuality.scan._positive_paulis(3)
+    drawn = {tuple(sorted(rng.sample(pool, 2), key=str)) for _ in range(60)}
+    assert len(drawn) < 60  # some draws repeat
+    result = conjecture_scan(3, 2, samples=60, states=0, seed=2, exhaustive=False)
+    assert (result.sets_scanned, result.sets_skipped) == (len(drawn), 0)
