@@ -17,6 +17,7 @@ from .analysis import (
     contextual_fraction,
     find_global_distribution,
     from_hidden_variable,
+    global_section_count,
     global_sections,
     is_logically_contextual,
     is_strongly_contextual,

@@ -243,6 +243,11 @@ def global_sections(model: PossibilisticModel | EmpiricalModel) -> tuple[Assignm
     return tuple(inc.columns[j] for j in _bits(alive))
 
 
+def global_section_count(model: PossibilisticModel | EmpiricalModel) -> int:
+    """``len(global_sections(model))``, counted without decoding a column."""
+    return _sections(model)[2].bit_count()
+
+
 def is_strongly_contextual(model: PossibilisticModel | EmpiricalModel) -> bool:
     return not _sections(model)[2]
 

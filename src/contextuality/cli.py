@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 from . import corpus
 from .analysis import (
-    global_sections,
+    global_section_count,
     is_logically_contextual,
     is_strongly_contextual,
     noncontextual_fraction,
@@ -214,7 +214,7 @@ def _analysis_payload(kind, obj, checks) -> dict:
         elif check == "logical":
             report["logically_contextual"] = is_logically_contextual(obj)
         elif check == "sections":
-            report["global_section_count"] = len(global_sections(obj))
+            report["global_section_count"] = global_section_count(obj)
         elif check == "avn":
             report["avn"] = is_avn(obj)
         elif check in ("si-avn", "si-avn-closure"):

@@ -200,20 +200,23 @@ class ConsistencyResult:
 
 
 def is_consistent(theory: LinearTheory) -> ConsistencyResult:
-    """Global GF(2) solve across contexts, with certificate extraction."""
+    """Global GF(2) solve across contexts, with certificate extraction.
+
+    It stops at the first contradiction 0 = 1, with the certificate a full
+    pass would give: the basis never replaces its first conflict.
+    """
     labels = theory.scenario.measurements
     index = {m: i for i, m in enumerate(labels)}
     system = gf2.AffineBasis(len(labels))
-    eqs = list(theory.equations)
-    for eq in eqs:
+    for eq in theory.equations:
         mask = 0
         for m, c in zip(eq.context.members, eq.coefficients):
             if c:
                 mask |= 1 << index[m]
         system.add(mask, eq.constant)
-    if system.conflict is not None:
-        cert = tuple(eq for i, eq in enumerate(eqs) if (system.conflict >> i) & 1)
-        return ConsistencyResult(False, None, cert)
+        if system.conflict is not None:
+            cert = tuple(e for i, e in enumerate(theory.equations) if system.conflict >> i & 1)
+            return ConsistencyResult(False, None, cert)
     sol = system.solution()
     values = tuple((sol >> i) & 1 for i in range(len(labels)))
     return ConsistencyResult(True, Assignment(labels, values), None)

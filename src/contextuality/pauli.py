@@ -361,25 +361,26 @@ def partial_closure(s: PauliSet) -> PauliSet:
 def _parity_rows(words: list[int], n: int) -> list[int]:
     """Reduced parity rows r | sign << k of one context's k member words.
 
-    Bit i of r flags words[i]. The kernel of the context's bit matrix is
-    the member subsets whose product is +-identity, and the product's
-    sign, 1 for -identity, is linear in the kernel because Hermitian
-    members square to the identity; so one rref of the kernel rows with
-    the sign appended gives the context's reduced equations.
+    Bit i of r flags words[i]. The words are eliminated in order, phases
+    tracked by ``_mul`` as in a stabilizer tableau; each word that reduces
+    to +-identity gives a member subset and its sign, 1 for -identity,
+    linear in the subset as commuting members square to the identity.
+    One rref of these rows gives the context's reduced equations.
     """
-    k = len(words)
-    transpose = [sum((w >> bit & 1) << i for i, w in enumerate(words))
-                 for bit in range(2 * n)]
+    k, low = len(words), (1 << 2 * n) - 1
+    basis: list[tuple[int, int, int]] = []  # (pivot bit, word, combination)
     rows = []
-    for r in gf2.nullspace(transpose, k):
-        prod = 0
-        for i, w in enumerate(words):
-            if r >> i & 1:
-                prod = _mul(prod, w, n)
-        if prod not in (0, 2 << 2 * n):
-            raise AssertionError(
-                f"kernel product {_operator(prod, n)} is not +-identity")
-        rows.append(r | (prod >> 2 * n + 1) << k)
+    for i, w in enumerate(words):
+        combo = 1 << i
+        for p, bw, bc in basis:
+            if w >> p & 1:
+                w, combo = _mul(w, bw, n), combo ^ bc
+        if w & low:
+            basis.append((gf2.lowest_bit(w & low), w, combo))
+        elif w >> 2 * n & 1:
+            raise AssertionError(f"member product {_operator(w, n)} is not +-identity")
+        else:
+            rows.append(combo | (w >> 2 * n + 1) << k)
     return gf2.rref(rows)[0]
 
 
@@ -396,9 +397,9 @@ def state_independent_theory(s: PauliSet) -> LinearTheory:
     equations = []
     for ctx, ctx_words in cover:
         k = len(ctx_words)
-        rows = sorted((tuple(row >> i & 1 for i in range(k)), row >> k)
-                      for row in _parity_rows(ctx_words, n))
-        equations.extend(LinearEquation(ctx, coefs, sign) for coefs, sign in rows)
+        # falling pivots are ascending coefficient tuples, the canonical order
+        equations.extend(LinearEquation(ctx, (row >> i & 1 for i in range(k)), row >> k)
+                         for row in reversed(_parity_rows(ctx_words, n)))
     scenario = MeasurementScenario(labels, [ctx for ctx, _ in cover], (0, 1), "Z2")
     return LinearTheory._from_reduced(scenario, equations)
 

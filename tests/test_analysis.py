@@ -19,6 +19,7 @@ from contextuality import (
     convex_mix,
     find_global_distribution,
     from_hidden_variable,
+    global_section_count,
     global_sections,
     is_logically_contextual,
     is_strongly_contextual,
@@ -344,3 +345,22 @@ def test_large_ring_decides_without_building_columns(monkeypatch):
     assert global_sections(poss) == ()
     assert len(build_incidence(poss.scenario).columns) == 1 << 18
     assert built[0] < 1000  # not one per each of the 2^18 columns
+
+
+def test_global_section_count_is_the_number_of_sections():
+    from contextuality.corpus import REGISTRY, xy322_scenario
+    from contextuality.realize import realize_model_exact
+
+    models = [e.build() for e in REGISTRY.values() if e.kind in ("model", "possibilistic")]
+    models += [parity_ring(n, parity) for n in (4, 5, 9) for parity in (0, 1)]
+    rng = random.Random(63)
+    for re, im in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        dense = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(8)]
+        # GHZ-type |000> + i^k |111>: zero rows leave few surviving columns
+        ghz = [(Fraction(1), Fraction(0))] + [(Fraction(0), Fraction(0))] * 6
+        ghz.append((Fraction(re), Fraction(im)))
+        models += [realize_model_exact(dense, xy322_scenario()),
+                   realize_model_exact(ghz, xy322_scenario())]
+    counts = [global_section_count(m) for m in models]
+    assert counts == [len(global_sections(m)) for m in models]
+    assert 0 in counts and 2 in counts and 64 in counts

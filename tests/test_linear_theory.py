@@ -1,22 +1,29 @@
 import json
+import random
 
 import pytest
 
 from contextuality import (
     Assignment,
+    ConsistencyResult,
     Context,
     LinearEquation,
     LinearTheory,
     MeasurementScenario,
+    PauliSet,
+    PossibilisticModel,
     SizeLimitError,
     ValidationError,
     is_avn,
     is_consistent,
+    partial_closure,
     satisfies,
+    state_independent_theory,
     theory_from_dict,
     theory_of_supports,
     theory_to_dict,
 )
+from contextuality import gf2
 from contextuality.corpus import (
     mermin_square_possibilistic,
     mermin_square_scenario,
@@ -24,6 +31,8 @@ from contextuality.corpus import (
     xy322_ghz_model,
     xz222_model,
 )
+from contextuality.scan import _positive_paulis
+from contextuality.scenario import enumerate_assignments
 
 
 def tiny_scenario():
@@ -150,3 +159,59 @@ def test_ghz_support_theory_is_avn_with_certificate():
 
 def test_scenario_accessor():
     assert theory_of_supports(mermin_square_possibilistic()).scenario == mermin_square_scenario()
+
+
+# ------------------------------------------------- reference for the solve
+
+def reference_is_consistent(theory):
+    """The full pass: every equation enters the system before the verdict."""
+    labels = theory.scenario.measurements
+    index = {m: i for i, m in enumerate(labels)}
+    system = gf2.AffineBasis(len(labels))
+    for e in theory.equations:
+        system.add(sum(c << index[m] for m, c in zip(e.context.members, e.coefficients)),
+                   e.constant)
+    if system.conflict is not None:
+        return ConsistencyResult(False, None, tuple(
+            e for i, e in enumerate(theory.equations) if system.conflict >> i & 1))
+    sol = system.solution()
+    return ConsistencyResult(
+        True, Assignment(labels, tuple(sol >> i & 1 for i in range(len(labels)))), None)
+
+
+def random_support_model(rng):
+    """2-7 binary measurements, 1-5 contexts of 1-3 members, arbitrary supports."""
+    labels = [f"m{i}" for i in range(rng.randint(2, 7))]
+    contexts = {Context(rng.sample(labels, rng.randint(1, min(3, len(labels)))))
+                for _ in range(rng.randint(1, 5))}
+    scenario = MeasurementScenario(labels, contexts, (0, 1))
+    supports = {}
+    for ctx in scenario.contexts:
+        local = enumerate_assignments(ctx.members, (0, 1))
+        supports[ctx] = rng.sample(local, rng.randint(1, len(local)))
+    return PossibilisticModel(scenario, supports)
+
+
+def test_first_conflict_exit_matches_full_pass():
+    rng = random.Random(81)
+    theories = [("supports", theory_of_supports(random_support_model(rng))) for _ in range(200)]
+    for n, k in ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5)):
+        for _ in range(6):
+            s = PauliSet(n, rng.sample(_positive_paulis(n), k))
+            theories.append(("closure", state_independent_theory(partial_closure(s))))
+    verdicts, early = set(), 0
+    for source, theory in theories:
+        result = is_consistent(theory)
+        assert result == reference_is_consistent(theory)
+        verdicts.add((source, result.consistent))
+        if result.consistent:
+            continue
+        parity = {}
+        for e in result.certificate:
+            for m, c in zip(e.context.members, e.coefficients):
+                parity[m] = parity.get(m, 0) ^ c
+        assert not any(parity.values())
+        assert sum(e.constant for e in result.certificate) % 2 == 1
+        early += theory.equations.index(result.certificate[-1]) < len(theory) - 1
+    assert verdicts == {(src, b) for src in ("supports", "closure") for b in (False, True)}
+    assert early > 10  # the solve stopped before the last equation

@@ -36,11 +36,14 @@ from contextuality.pauli import (
     _EDGE_ORDER,
     _PERMS4,
     _closure_with_derivations,
+    _cover,
     _intransitive,
     _max_cliques,
     _mul,
     _operator,
+    _parity_rows,
     _swap,
+    _vertices,
     _word,
 )
 from contextuality.corpus import mermin_square_set, mermin_star_set, xz222_set
@@ -584,6 +587,55 @@ def test_theory_and_si_avn_against_two_pass_reference():
             assert is_state_independent_avn(s, in_closure=b) == expected
             verdicts.add((b, expected))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# --------------------------------------------- reference for the parity rows
+
+def reference_parity_rows(words, n):
+    """The kernel of the transposed bit matrix, each row's sign recovered by
+    multiplying its words, then one rref."""
+    k = len(words)
+    transpose = [sum((w >> bit & 1) << i for i, w in enumerate(words))
+                 for bit in range(2 * n)]
+    rows = []
+    for r in gf2.nullspace(transpose, k):
+        prod = 0
+        for i, w in enumerate(words):
+            if r >> i & 1:
+                prod = _mul(prod, w, n)
+        assert prod in (0, 2 << 2 * n)
+        rows.append(r | (prod >> 2 * n + 1) << k)
+    return gf2.rref(rows)[0]
+
+
+def test_parity_rows_against_kernel_reference():
+    rng = random.Random(47)
+    bare = [random_theory_set(rng) for _ in range(40)]
+    closed = [partial_closure(random_theory_set(rng, max_qubits=3)) for _ in range(15)]
+    closed += [partial_closure(random_pauli_set(rng)) for _ in range(8)]
+    named = [mermin_square_set(), mermin_star_set(), partial_closure(mermin_star_set()),
+             partial_closure(PauliSet.from_strings(["ZIII", "IZII", "IIZI", "IIIZ", "-ZZZZ",
+                                                    "XXXX", "YYYY"]))]
+    assert any(op.negate() in s for s in bare for op in s if not op.is_identity_like())
+    assert any(op.is_identity_like() for s in bare for op in s)
+    contexts = [(words, s.num_qubits) for s in bare + closed + named
+                for _, words in _cover(*_vertices(s), s.num_qubits)]
+    counts = {"empty": 0, "several": 0, "signed": 0}
+    for words, n in contexts:
+        rows = _parity_rows(words, n)
+        assert rows == reference_parity_rows(words, n)
+        counts["empty"] += not rows
+        counts["several"] += len(rows) > 1
+        counts["signed"] += any(row >> len(words) for row in rows)
+    assert min(counts.values()) > 50
+    assert {n for _, n in contexts} == {1, 2, 3, 4}
+    assert max(len(words) for words, _ in contexts) == 30  # all 15 Z words, both signs
+
+
+def test_parity_rows_refuse_a_non_commuting_context():
+    words = [_word(PauliOperator.from_string(t)) for t in ("X", "Z", "Y")]
+    with pytest.raises(AssertionError):
+        _parity_rows(words, 1)
 
 
 def test_theory_builds_each_equation_once(monkeypatch):
