@@ -160,6 +160,11 @@ def reference_feasible_equalities(lhs, rhs):
     return _vertex(basis, matrix, n)
 
 
+def _python_ints(values):
+    """Every Fraction holds Python ints: an np.int64 numerator overflows."""
+    return all(type(v.numerator) is int and type(v.denominator) is int for v in values)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -196,6 +201,7 @@ def test_maximize_matches_fraction_tableau(rational):
         cost, lhs, rhs = _random_lp(rng, rational)
         got = _outcome(maximize, cost, lhs, rhs)
         assert got == _outcome(reference_maximize, cost, lhs, rhs)
+        assert isinstance(got, str) or _python_ints([got[0], *got[1]])
         unbounded += isinstance(got, str)
     assert 0 < unbounded < 300
 
@@ -213,6 +219,7 @@ def test_feasible_equalities_matches_fraction_tableau(rational):
             rhs = [b * rng.choice((-1, 1)) for b in rhs]
         got = feasible_equalities(lhs, rhs)
         assert got == reference_feasible_equalities(lhs, rhs)
+        assert got is None or _python_ints(got)
         infeasible += got is None
     assert 0 < infeasible < 300
 
@@ -267,3 +274,60 @@ def test_compact_tableau_matches_fraction_tableau_on_xy_lps():
             assert found.weights == {inc.columns[j]: xj for j, xj in zip(cols, x) if xj}
         verdicts.append(found is not None)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_tableau_past_int64_bound_matches_fraction_tableau():
+    # integer tableaux whose entries pass 2^31, where p * a - f * b could
+    # leave int64. From the start: b over the common denominator
+    # 3 (2^40 - 87) passes 2^40, and over three coprime denominators near
+    # 2^40 it passes 2^63. Only after pivots: dense rows with entries up to
+    # 2^20 pass it at the first, 10x10 ones up to 2^8 and 12x12 ones up to
+    # 2^4 several pivots later
+    rng = random.Random(61)
+    big = 2**40 - 87
+    lps = []
+    for denominators in ([3, big], [big, big + 2, big + 4]):
+        lhs = [[rng.randrange(0, 3) for _ in range(6)] for _ in range(5)] + [[1] * 6]
+        rhs = [Fraction(rng.randrange(1, 2**20), denominators[i % len(denominators)])
+               for i in range(6)]
+        lps.append(([rng.randrange(1, 4) for _ in range(6)], lhs, rhs))
+    for size, top in [(6, 2**20)] * 6 + [(10, 2**8)] * 3 + [(12, 2**4)] * 3:
+        lhs = [[rng.randrange(1, top) for _ in range(size)] for _ in range(size)]
+        rhs = [rng.randrange(1, top) for _ in range(size)]
+        lps.append(([rng.randrange(1, top) for _ in range(size)], lhs, rhs))
+    for cost, lhs, rhs in lps:
+        value, x = maximize(cost, lhs, rhs)
+        assert (value, x) == reference_maximize(cost, lhs, rhs)
+        assert _python_ints([value, *x])
+        hidden = [Fraction(rng.randrange(0, 4), rng.randrange(1, 4)) for _ in cost]
+        target = [sum(a * h for a, h in zip(row, hidden)) for row in lhs]
+        for b in (target, rhs):
+            x = feasible_equalities(lhs, b)
+            assert x == reference_feasible_equalities(lhs, b)
+            assert x is None or _python_ints(x)
+
+
+def test_four_party_xy_lp_pinned():
+    # ROADMAP D2's LP: the 256x256 incidence of the 4-party X/Y scenario,
+    # V realized from Gaussian-integer amplitudes (seed 2); the Fraction
+    # reference would take minutes, so the witness is checked directly
+    from contextuality.analysis import build_incidence, model_vector, noncontextual_fraction
+    from contextuality.realize import realize_model_exact
+    from contextuality.scenario import MeasurementScenario
+
+    parties = [["".join(p if k == q else "I" for k in range(4)) for p in "XY"] for q in range(4)]
+    scenario = MeasurementScenario(tuple(w for pair in parties for w in pair),
+                                   [list(ctx) for ctx in product(*parties)])
+    rng = random.Random(2)
+    amps = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(16)]
+    model = realize_model_exact(amps, scenario)
+    inc = build_incidence(scenario)
+    assert inc.shape == (256, 256)
+    result = noncontextual_fraction(model)
+    assert result.ncf == Fraction(597, 752)
+    # primal feasible and optimal: X >= 0, M X <= V, |X| = ncf, all Fractions
+    weights = [result.witness.get(col, Fraction(0)) for col in inc.columns]
+    assert all(type(w) is Fraction and w >= 0 for w in weights)
+    assert sum(weights) == result.ncf
+    for mask, v in zip(inc.row_masks, model_vector(model, inc)):
+        assert sum(w for j, w in enumerate(weights) if mask >> j & 1) <= v
