@@ -6,15 +6,15 @@ local. Rows are bitmasks over the columns; column j holds the outcomes
 given by the base-d digits of j, the last measurement least significant.
 A model vector V stacks the context tables in the same row order.
 
-* MX = V with X >= 0 solvable  <->  the model is noncontextual.
 * max |X| with MX <= V, X >= 0 is the noncontextual fraction; 1 - it is
   the contextual fraction.
+* MX = V with X >= 0 solvable  <->  noncontextual  <->  the fraction is 1.
 
 A row is dead when its outcome is impossible: weight 0, or outside the
 support. Every verdict starts from one mask, the columns that no dead row
 kills. Those columns are exactly the global sections, so the model is
 strongly contextual when the mask is empty and logically contextual when
-some possible row misses every survivor. The LPs see only the surviving
+some possible row misses every survivor. The LP sees only the surviving
 columns, which is also why strongly contextual models resolve without
 simplex work. Everything is exact.
 
@@ -180,22 +180,13 @@ def _bits(mask: int) -> list[int]:
 
 
 def find_global_distribution(model: EmpiricalModel) -> GlobalDistribution | None:
-    """Exact solution of MX = V with X >= 0, or None when none exists."""
-    inc = build_incidence(model.scenario)
-    vec = model_vector(model, inc)
-    alive = _survivors(inc, vec)
-    rows = [(mask, v) for mask, v in zip(inc.row_masks, vec) if v != 0]
-    # a positive row all of whose columns died is already infeasible
-    if any(not mask & alive for mask, _ in rows):
-        return None
-    cols = _bits(alive)
-    lhs = [[(mask >> j) & 1 for j in cols] for mask, _ in rows]
-    rhs = [v for _, v in rows]
-    x = exactlp.feasible_equalities(lhs, rhs)
-    if x is None:
-        return None
-    weights = {inc.columns[j]: xj for j, xj in zip(cols, x) if xj}
-    return GlobalDistribution(model.scenario, weights)
+    """Exact solution of MX = V with X >= 0, or None when none exists.
+
+    It is the noncontextual fraction's witness when the fraction is 1:
+    MX <= V, X >= 0 and |X| = 1 force MX = V, because each context's rows
+    partition the columns and V sums to 1 on each context."""
+    res = noncontextual_fraction(model)
+    return GlobalDistribution(model.scenario, res.witness) if res.ncf == 1 else None
 
 
 @dataclass(frozen=True)

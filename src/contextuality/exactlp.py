@@ -34,9 +34,13 @@ integers of ``_integer_rows`` enter the array, and it is read through
 
 On the 64x64 three-party X/Y LP this is about 3x faster than updating
 lists of Python ints row by row, and about 10x on the 256x256 four-party
-one. On the 9x4 and 16x16 phase-one LPs of 3-qubit scans, of 4 and 8
-pivots, numpy's cost per call makes it about 20 us per LP slower
-(Python 3.11.7, numpy 2.4.6, a 2-vCPU Xeon).
+one. On the small LPs of 3-qubit scans, of 4 and 8 pivots, numpy's cost
+per call makes it about 20 us per LP slower (Python 3.11.7, numpy 2.4.6,
+a 2-vCPU Xeon).
+
+``maximize`` is the one entry to the simplex. ``feasible_equalities`` is
+phase one posed as a ``maximize`` LP; the package no longer calls it, and
+it stays because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -52,31 +56,32 @@ _INT64_SAFE = 1 << 31
 
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
-    """values times their least common denominator, and that denominator."""
+    """values times their least common denominator, and that denominator,
+    as Python ints even where a value is a numpy integer."""
     if all(type(v) is int for v in values):  # incidence rows: nothing to scale
         return list(values), 1
-    fracs = [v if type(v) is int else Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (scale // f.denominator) for f in fracs], scale
+    fracs = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, values)]
+    scale = lcm(*(den for _, den in fracs))
+    return [num * (scale // den) for num, den in fracs], scale
 
 
-def _integer_rows(lhs: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[int]], list[int], int]:
+def _integer_rows(lhs: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[int]], int]:
     """Integer rows [A_i | b_i]: lhs row i times the LCD L_i of its entries,
-    then every b_i times one common L. Returns the rows, the L_i and L;
-    x at the vertex is then counted in units of 1/L."""
-    rows, scales, bs = [], [], []
+    then every b_i times one common L. Returns the rows and L; x at the
+    vertex is then counted in units of 1/L."""
+    rows, bs = [], []
     for row, b in zip(lhs, rhs):
         scaled, scale = _integer_row(row)
         rows.append(scaled)
-        scales.append(scale)
         b = b if type(b) in (int, Fraction) else Fraction(b)
-        # b * scale in lowest terms, as num / den, without a Fraction product
+        # b * scale in lowest terms, as num / den, without a Fraction product;
+        # int() turns a numpy integer's numerator into a Python int
         g = gcd(b.denominator, scale)
-        bs.append((b.numerator * (scale // g), b.denominator // g))
+        bs.append((int(b.numerator) * (scale // g), int(b.denominator) // g))
     common = lcm(*(den for _, den in bs))
     for row, (num, den) in zip(rows, bs):
         row.append(num * (common // den))
-    return rows, scales, common
+    return rows, common
 
 
 def _simplex(rows: list[list[int]], cost: list[int]) -> tuple[list[int], int]:
@@ -152,7 +157,7 @@ def maximize(cost: Sequence, lhs: Sequence[Sequence], rhs: Sequence) -> tuple[Fr
 
     Returns the exact optimum and an optimal vertex.
     """
-    rows, _, unit = _integer_rows(lhs, rhs)
+    rows, unit = _integer_rows(lhs, rhs)
     if any(row[-1] < 0 for row in rows):
         raise ValueError("nonnegative right-hand side required")
     c, scale = _integer_row(cost)
@@ -163,16 +168,14 @@ def maximize(cost: Sequence, lhs: Sequence[Sequence], rhs: Sequence) -> tuple[Fr
 
 
 def feasible_equalities(lhs: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Find x >= 0 with lhs x = rhs, or None; phase-one simplex."""
-    rows, scales, unit = _integer_rows(lhs, rhs)
-    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
-    n = len(rows[0]) - 1 if rows else 0
-    # maximizing -sum(artificials), column j's reduced cost is the column
-    # sum of the sign-corrected A; here times the LCD of the row scales
-    common = lcm(*scales)
-    weights = [common // s for s in scales]
-    cost = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
-    values, denom = _simplex(rows, cost)
-    if any(values[n:]):
-        return None
-    return [Fraction(v, denom * unit) for v in values[:n]]
+    """Find x >= 0 with lhs x = rhs, or None: phase one as a ``maximize`` LP.
+
+    With rows signed so that rhs >= 0, max sum_i (lhs x)_i subject to
+    lhs x <= rhs reaches sum(rhs) exactly when the equalities hold. The
+    costs are a positive multiple of phase one's, so Bland's rule makes the
+    same pivots to the same vertex."""
+    flip = [Fraction(b) < 0 for b in rhs]
+    rows = [[-Fraction(v) for v in row] if f else row for f, row in zip(flip, lhs)]
+    rhs = [abs(Fraction(b)) for b in rhs]
+    value, x = maximize([sum(map(Fraction, col)) for col in zip(*rows)], rows, rhs)
+    return x if value == sum(rhs) else None

@@ -17,19 +17,11 @@ def rref(rows: list[int]) -> tuple[list[int], list[int]]:
     Returns (reduced nonzero rows sorted by pivot, pivot positions).
     Each pivot coordinate appears in exactly one row.
     """
-    basis: dict[int, int] = {}
+    basis = AffineBasis(max(rows, default=0).bit_length())
     for r in rows:
-        for p, b in basis.items():
-            if (r >> p) & 1:
-                r ^= b
-        if r:
-            p = lowest_bit(r)
-            for q in list(basis):
-                if (basis[q] >> p) & 1:
-                    basis[q] ^= r
-            basis[p] = r
-    pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
+        basis.add(r, 0)
+    pivots = sorted(basis.rows)
+    return [basis.rows[p][0] for p in pivots], pivots
 
 
 def nullspace(rows: list[int], width: int) -> list[int]:
@@ -47,14 +39,6 @@ def nullspace(rows: list[int], width: int) -> list[int]:
     return basis
 
 
-def in_span(basis_rows: list[int], v: int) -> bool:
-    """Membership of v in the rowspace of an rref basis."""
-    for row in basis_rows:
-        if (v >> lowest_bit(row)) & 1:
-            v ^= row
-    return v == 0
-
-
 class AffineBasis:
     """Incremental GF(2) affine system with combination tracking.
 
@@ -70,9 +54,9 @@ class AffineBasis:
         self.count = 0
         self.conflict: int | None = None  # combo mask of first 0 = 1 derivation
 
-    def add(self, coef: int, const: int) -> None:
-        combo = 1 << self.count
-        self.count += 1
+    def reduce(self, coef: int, const: int = 0, combo: int = 0) -> tuple[int, int, int]:
+        """Add the stored rows at coef's pivot bits: coef comes back 0 exactly
+        when it is in the span, and combo then names the inputs summing to it."""
         # rows are fully reduced, so coef's pivot bits name the rows to apply
         hits = coef & self.pivots
         while hits:
@@ -81,6 +65,11 @@ class AffineBasis:
             const ^= bk
             combo ^= bm
             hits &= hits - 1
+        return coef, const, combo
+
+    def add(self, coef: int, const: int) -> None:
+        coef, const, combo = self.reduce(coef, const, 1 << self.count)
+        self.count += 1
         if coef == 0:
             if const == 1 and self.conflict is None:
                 self.conflict = combo

@@ -129,12 +129,11 @@ class LinearTheory:
 
     def implies(self, equation: LinearEquation) -> bool:
         """Is the equation in the span of its context's basis?"""
-        basis = self.context_basis(equation.context)
-        rows = [eq.coefficient_mask() | (eq.constant << len(equation.context))
-                for eq in basis]
-        reduced, _ = gf2.rref(rows)
-        target = equation.coefficient_mask() | (equation.constant << len(equation.context))
-        return gf2.in_span(reduced, target)
+        k = len(equation.context)
+        basis = gf2.AffineBasis(k + 1)  # the constant rides in bit k
+        for eq in self.context_basis(equation.context):
+            basis.add(eq.coefficient_mask() | eq.constant << k, 0)
+        return basis.reduce(equation.coefficient_mask() | equation.constant << k)[0] == 0
 
 
 def _reduce_per_context(equations: Iterable[LinearEquation]) -> tuple[LinearEquation, ...]:
@@ -144,17 +143,12 @@ def _reduce_per_context(equations: Iterable[LinearEquation]) -> tuple[LinearEqua
     out = []
     for ctx in sorted(by_ctx):
         k = len(ctx)
-        # constant rides in bit k; rref never pivots there because any row
-        # reducing to bare constant 1 is the inconsistent equation 0 = 1,
-        # which must be preserved, and bare constant 0 rows drop out
+        # the constant rides in bit k: a row reducing to 0 drops out, and one
+        # with its pivot there is 0 = 1, which is kept
         rows = [eq.coefficient_mask() | (eq.constant << k) for eq in by_ctx[ctx]]
-        reduced, pivots = gf2.rref(rows)
-        for row, p in zip(reduced, pivots):
-            if p == k:
-                out.append(LinearEquation(ctx, (0,) * k, 1))
-            else:
-                out.append(LinearEquation(
-                    ctx, tuple((row >> i) & 1 for i in range(k)), (row >> k) & 1))
+        for row in gf2.rref(rows)[0]:
+            out.append(LinearEquation(
+                ctx, tuple((row >> i) & 1 for i in range(k)), (row >> k) & 1))
     return tuple(sorted(out))
 
 

@@ -571,24 +571,10 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
             if g:
                 generators.append((g, (a, b)))
 
-    # rref over the generator masks, tracking which generators combine
-    basis: dict[int, tuple[int, int]] = {}  # pivot -> (mask, combo over generators)
-    for gi, (g, _) in enumerate(generators):
-        combo = 1 << gi
-        for p, (bm, bc) in basis.items():
-            if (g >> p) & 1:
-                g ^= bm
-                combo ^= bc
-        if g:
-            basis[gf2.lowest_bit(g)] = (g, combo)
-
-    def span_combo(target: int) -> int | None:
-        combo = 0
-        for p, (bm, bc) in basis.items():
-            if (target >> p) & 1:
-                target ^= bm
-                combo ^= bc
-        return combo if target == 0 else None
+    # the generator masks, each combination over the generators' indices
+    basis = gf2.AffineBasis(len(s.members))
+    for g, _ in generators:
+        basis.add(g, 0)
 
     elem_set = set(elements)
     sign = 2 << 2 * n  # xor flips the phase by 2, negating the word
@@ -597,8 +583,8 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
         neg = x ^ sign
         if neg not in elem_set or neg < x:
             continue
-        combo = span_combo(dsets[x] ^ dsets[neg])
-        if combo is None:
+        rest, _, combo = basis.reduce(dsets[x] ^ dsets[neg])
+        if rest:
             continue
         tree_x = _replay_tree(x, n, deriv, memo)
         tree_neg = _replay_tree(neg, n, deriv, memo)

@@ -1,7 +1,9 @@
 import random
+import warnings
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from contextuality.exactlp import feasible_equalities, maximize
@@ -307,6 +309,80 @@ def test_tableau_past_int64_bound_matches_fraction_tableau():
             assert x is None or _python_ints(x)
 
 
+def _phase_one_reference(model, inc):
+    """The Fraction phase one on the positive rows and the surviving columns,
+    as x over those columns or None."""
+    from contextuality.analysis import _bits, _survivors, model_vector
+
+    vec = model_vector(model, inc)
+    cols = _bits(_survivors(inc, vec))
+    rows = [(mask, v) for mask, v in zip(inc.row_masks, vec) if v]
+    if not cols:  # every column died, and each context has a positive row
+        return cols, None
+    return cols, reference_feasible_equalities(
+        [[(mask >> j) & 1 for j in cols] for mask, _ in rows], [v for _, v in rows])
+
+
+def test_find_global_distribution_reads_ncf_one():
+    # find_global_distribution is the ncf witness at ncf = 1; it must agree
+    # with phase one on the verdict, and its witness must realize the model
+    from contextuality.analysis import GlobalDistribution, build_incidence, find_global_distribution
+    from contextuality.corpus import REGISTRY, chsh_model, pr_box, xy322_scenario
+    from contextuality.empirical import convex_mix
+    from contextuality.realize import realize_model_exact
+    from contextuality.scenario import enumerate_assignments
+
+    models = [e.build() for e in REGISTRY.values() if e.kind == "model"]
+    rng = random.Random(71)
+    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    for k in range(40):
+        if k % 10 == 0:  # dense Gaussian-integer states
+            amps = [(Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1)))
+                    for _ in range(8)]
+            amps[0] = one
+        elif k % 10 < 3:  # GHZ-type |000> + c |111>, AvN when c is i^k
+            c = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (1, 1)])
+            amps = [one] + [zero] * 6 + [(Fraction(c[0]), Fraction(c[1]))]
+        else:  # product states, noncontextual; X or Y eigenstates shed columns
+            eigen = [(Fraction(s), Fraction(0)) for s in (1, -1)] + [
+                (Fraction(0), Fraction(s)) for s in (1, -1)]
+            qubits = [[one, rng.choice(eigen)] if rng.random() < 0.7 else
+                      [(Fraction(rng.randint(1, 2)), Fraction(0)),
+                       (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))]
+                      for _ in range(3)]
+            amps = []
+            for b in product((0, 1), repeat=3):
+                re, im = Fraction(1), Fraction(0)
+                for q, bit in zip(qubits, b):
+                    re, im = re * q[bit][0] - im * q[bit][1], re * q[bit][1] + im * q[bit][0]
+                amps.append((re, im))
+        models.append(realize_model_exact(amps, xy322_scenario()))
+    chsh, box = chsh_model(), pr_box()
+    points = list(enumerate_assignments(chsh.scenario.measurements, chsh.scenario.outcomes))
+    for _ in range(40):
+        models.append(convex_mix(chsh, box, Fraction(rng.randrange(0, 9), 8)))
+        # and towards a global mixture, some mixtures noncontextual
+        raws = {rng.choice(points): Fraction(rng.randrange(1, 9)) for _ in range(4)}
+        total = sum(raws.values())
+        local = GlobalDistribution(chsh.scenario, {g: w / total for g, w in raws.items()})
+        models.append(convex_mix(rng.choice((chsh, box)), local.realized_model(),
+                                 Fraction(rng.randrange(0, 9), 8)))
+    verdicts = []
+    for model in models:
+        inc = build_incidence(model.scenario)
+        cols, x = _phase_one_reference(model, inc)
+        found = find_global_distribution(model)
+        assert (found is None) == (x is None)
+        if found is not None:
+            assert found.realized_model() == model
+            # the same Bland pivots as phase one, so the same vertex
+            assert found.weights == {inc.columns[j]: xj for j, xj in zip(cols, x) if xj}
+        verdicts.append((model.scenario.measurements, found is None))
+    xy = xy322_scenario().measurements
+    assert {(xy, True), (xy, False)} <= set(verdicts)
+    assert {(chsh.scenario.measurements, v) for v in (True, False)} <= set(verdicts)
+
+
 def test_four_party_xy_lp_pinned():
     # ROADMAP D2's LP: the 256x256 incidence of the 4-party X/Y scenario,
     # V realized from Gaussian-integer amplitudes (seed 2); the Fraction
@@ -331,3 +407,22 @@ def test_four_party_xy_lp_pinned():
     assert sum(weights) == result.ncf
     for mask, v in zip(inc.row_masks, model_vector(model, inc)):
         assert sum(w for j, w in enumerate(weights) if mask >> j & 1) <= v
+
+
+def test_maximize_turns_numpy_integers_into_python_ints():
+    # Fraction(np.int64(k)).numerator stays np.int64, whose products wrap
+    big = 2**40
+    cases = [
+        ([np.int64(big), 1], [[np.int64(big), np.int64(big)]], [np.int64(big)]),
+        ([1, 1], [[Fraction(1, 3), 1]], [np.int64(2**62)]),
+        ([1, 1], [[np.int64(big), 3], [5, np.int64(big)]], [2 * big, 2 * big]),
+    ]
+    for cost, lhs, rhs in cases:
+        plain = ([int(v) for v in cost], [[v if type(v) is Fraction else int(v) for v in row]
+                                          for row in lhs], [int(b) for b in rhs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails too
+            got = maximize(cost, lhs, rhs)
+        assert got == maximize(*plain)
+        assert _python_ints([got[0], *got[1]])
+    assert maximize(*cases[0])[0] == big

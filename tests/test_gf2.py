@@ -1,6 +1,6 @@
 import random
 
-from contextuality.gf2 import AffineBasis, in_span, lowest_bit, nullspace, rref
+from contextuality.gf2 import AffineBasis, lowest_bit, nullspace, rref
 
 
 def brute_span(rows, width):
@@ -56,10 +56,38 @@ def test_nullspace_kernel_property():
 
 
 def test_in_span():
-    basis, _ = rref([0b110, 0b011])
-    assert in_span(basis, 0b101)
-    assert in_span(basis, 0)
-    assert not in_span(basis, 0b100)
+    basis = AffineBasis(3)
+    basis.add(0b110, 0)
+    basis.add(0b011, 0)
+    assert basis.reduce(0b101) == (0, 0, 0b11)
+    assert basis.reduce(0) == (0, 0, 0)
+    assert basis.reduce(0b100)[0] != 0
+
+
+def reference_rref(rows):
+    """Gauss-Jordan on a dict of pivot -> row, without combinations."""
+    basis = {}
+    for r in rows:
+        for p, b in basis.items():
+            if (r >> p) & 1:
+                r ^= b
+        if r:
+            p = lowest_bit(r)
+            for q in list(basis):
+                if (basis[q] >> p) & 1:
+                    basis[q] ^= r
+            basis[p] = r
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
+
+
+def test_rref_matches_reference_elimination():
+    # a reduced echelon basis is unique, so any elimination gives these rows
+    rng = random.Random(6)
+    for _ in range(300):
+        width = rng.randrange(1, 12)
+        rows = [rng.randrange(1 << width) for _ in range(rng.randrange(0, 16))]
+        assert rref(rows) == reference_rref(rows)
 
 
 def test_affine_basis_consistent_system():

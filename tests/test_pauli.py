@@ -503,6 +503,59 @@ def test_kl_pattern_test_against_reference_closure():
     assert verdicts == {False, True}
 
 
+def reference_span_combo(generators, target):
+    """kl_witness's former elimination: each generator reduced by the rows
+    stored before it, with no back-substitution, then the target. Returns
+    the combination over generator indices that sums to the target, or None
+    when the target is outside the span."""
+    basis = {}  # pivot -> (mask, combination over generators)
+    for gi, g in enumerate(generators):
+        combo = 1 << gi
+        for p, (bm, bc) in basis.items():
+            if (g >> p) & 1:
+                g, combo = g ^ bm, combo ^ bc
+        if g:
+            basis[gf2.lowest_bit(g)] = (g, combo)
+    combo = 0
+    for p, (bm, bc) in basis.items():
+        if (target >> p) & 1:
+            target, combo = target ^ bm, combo ^ bc
+    return combo if target == 0 else None
+
+
+def test_affine_basis_gives_the_kl_combination():
+    # both eliminations store the generators outside the span of the earlier
+    # ones, so a target's combination over them is unique: the same gadgets
+    rng = random.Random(83)
+    seen = {"in": 0, "out": 0, "dependent": 0}
+    for _ in range(500):
+        width = rng.randrange(1, 11)
+        # a random subspace, so that some generators and targets fall outside
+        span = [rng.randrange(1, 1 << width) for _ in range(rng.randrange(1, width + 1))]
+        gens = []
+        for _ in range(rng.randrange(1, 201)):
+            g = 0
+            for v in span:
+                g ^= v if rng.random() < 0.5 else 0
+            gens.append(g or span[0])
+        basis = gf2.AffineBasis(width)
+        for g in gens:
+            basis.add(g, 0)
+        seen["dependent"] += len(basis.rows) < len(gens)
+        targets = [rng.randrange(1 << width) for _ in range(3)]
+        targets.append(0)
+        for g in gens:
+            targets[-1] ^= g if rng.random() < 0.5 else 0
+        for target in targets:
+            expected = reference_span_combo(gens, target)
+            rest, const, combo = basis.reduce(target)
+            assert (rest == 0) == (expected is not None) and const == 0
+            if expected is not None:
+                assert combo == expected
+            seen["in" if expected is not None else "out"] += 1
+    assert min(seen.values()) > 200
+
+
 # ------------------------------------------- the closure reference for the rule
 
 def reference_closure_avn(s):
