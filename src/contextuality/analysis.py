@@ -205,11 +205,15 @@ def noncontextual_fraction(model: EmpiricalModel) -> NoncontextualFraction:
     """max |X| subject to MX <= V, X >= 0, solved exactly."""
     inc = build_incidence(model.scenario)
     vec = model_vector(model, inc)
-    cols = _bits(_survivors(inc, vec))
+    alive = _survivors(inc, vec)
+    cols = _bits(alive)
     if not cols:
         return NoncontextualFraction(Fraction(0), {})
-    lhs = [[(mask >> j) & 1 for j in cols] for mask in inc.row_masks]
-    value, x = exactlp.maximize([1] * len(cols), lhs, vec)
+    # a row zero over the surviving columns never enters the ratio test, so
+    # dropping it keeps Bland's pivots and the vertex
+    rows = [(mask, v) for mask, v in zip(inc.row_masks, vec) if mask & alive]
+    lhs = [[(mask >> j) & 1 for j in cols] for mask, _ in rows]
+    value, x = exactlp.maximize([1] * len(cols), lhs, [v for _, v in rows])
     witness = {inc.columns[j]: xj for j, xj in zip(cols, x) if xj}
     return NoncontextualFraction(value, witness)
 

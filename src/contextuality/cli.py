@@ -313,7 +313,7 @@ def cmd_closure(args) -> int:
         "size": len(closed.members),
         "members": [str(p) for p in closed.members],
         "cover": [list(c.members) for c in theory.scenario.contexts],
-        "equations": [eq.render() for eq in theory.equations],
+        "equations": theory.render(),
         "si_avn": not verdict.consistent,
     }
     table = [f"num_qubits: {closed.num_qubits}", f"size: {len(closed.members)}",

@@ -6,8 +6,15 @@ a model's possible outcomes obey; inconsistency of that theory is an
 all-versus-nothing argument: no global outcome assignment satisfies what
 the supports jointly certify.
 
-Theories are held in canonical form, one reduced echelon basis per
-context, so equality of theories is equality of bases.
+A theory holds its equations as bits: one tuple of rows per context, in
+the scenario's context order. An equation on a context of k members is the
+row ``r | a << k``, where bit i of r flags the context's i-th member and
+``a`` is the constant. Each context keeps the reduced echelon basis of its
+rows, ordered by falling pivot (lowest set bit), which is ascending
+coefficient order with 0 = 1 first. Both constructors make that
+canonical form on one reducing path, so equality of theories is equality
+of rows. ``LinearEquation`` objects are built only where a caller reads
+them: ``equations``, spans and certificates.
 """
 
 from __future__ import annotations
@@ -52,19 +59,26 @@ class LinearEquation:
         object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "constant", int(constant))
 
-    def coefficient_mask(self) -> int:
-        mask = 0
-        for i, c in enumerate(self.coefficients):
-            mask |= c << i
-        return mask
+    def row(self) -> int:
+        """The equation as the row ``r | constant << k``."""
+        r = sum(c << i for i, c in enumerate(self.coefficients))
+        return r | self.constant << len(self.coefficients)
 
     def render(self) -> str:
-        terms = [f"s({m})" for m, c in zip(self.context.members, self.coefficients) if c]
-        lhs = " + ".join(terms) if terms else "0"
-        return f"{lhs} = {self.constant}"
+        return _render(self.context, self.row())
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _equation(context: Context, row: int) -> LinearEquation:
+    k = len(context)
+    return LinearEquation(context, (row >> i & 1 for i in range(k)), row >> k)
+
+
+def _render(context: Context, row: int) -> str:
+    terms = [f"s({m})" for i, m in enumerate(context.members) if row >> i & 1]
+    return f"{' + '.join(terms) or '0'} = {row >> len(context)}"
 
 
 def satisfies(assignment: Assignment, equation: LinearEquation) -> bool:
@@ -78,102 +92,99 @@ def satisfies(assignment: Assignment, equation: LinearEquation) -> bool:
 
 @dataclass(frozen=True)
 class LinearTheory:
-    """A set of parity equations over one scenario, stored per-context reduced."""
+    """Parity equations over one scenario, held as each context's reduced rows."""
 
     scenario: MeasurementScenario
-    equations: tuple[LinearEquation, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, scenario: MeasurementScenario, equations: Iterable[LinearEquation]):
-        if scenario.ring != "Z2":
-            raise ValidationError("parity equations need a Z2-ringed scenario")
-        eqs = tuple(equations)
-        ctx_set = set(scenario.contexts)
-        for eq in eqs:
-            if eq.context not in ctx_set:
+        index = {ctx: i for i, ctx in enumerate(scenario.contexts)}
+        rows: list[list[int]] = [[] for _ in scenario.contexts]
+        for eq in equations:
+            if eq.context not in index:
                 raise ValidationError(f"equation on {eq.context} outside the cover")
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "equations", _reduce_per_context(eqs))
+            rows[index[eq.context]].append(eq.row())
+        self._set_rows(scenario, rows)
 
     @classmethod
-    def _from_reduced(cls, scenario: MeasurementScenario,
-                      equations: Iterable[LinearEquation]) -> "LinearTheory":
-        """Trust equations already in canonical form: reduced per context, sorted."""
+    def from_rows(cls, scenario: MeasurementScenario,
+                  rows_per_context: Iterable[Iterable[int]]) -> "LinearTheory":
+        """The theory of rows ``r | a << k`` given per context, in the
+        scenario's context order; the rows need not be reduced or independent."""
         theory = object.__new__(cls)
-        object.__setattr__(theory, "scenario", scenario)
-        object.__setattr__(theory, "equations", tuple(equations))
+        theory._set_rows(scenario, rows_per_context)
         return theory
 
+    def _set_rows(self, scenario: MeasurementScenario,
+                  rows_per_context: Iterable[Iterable[int]]) -> None:
+        if scenario.ring != "Z2":
+            raise ValidationError("parity equations need a Z2-ringed scenario")
+        # the constant rides in bit k: a row reducing to 0 drops out, and one
+        # with its pivot there is 0 = 1, which is kept and comes first
+        rows = tuple(tuple(reversed(gf2.rref(list(r))[0])) for r in rows_per_context)
+        if len(rows) != len(scenario.contexts):
+            raise ValidationError(f"{len(rows)} row lists for {len(scenario.contexts)} contexts")
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "rows", rows)
+
+    def _entries(self) -> list[tuple[Context, int]]:
+        """The context and row of every equation, in canonical order."""
+        return [(ctx, row) for ctx, rows in zip(self.scenario.contexts, self.rows) for row in rows]
+
+    @property
+    def equations(self) -> tuple[LinearEquation, ...]:
+        """Every row as a LinearEquation, built on each read."""
+        return tuple(_equation(ctx, row) for ctx, row in self._entries())
+
+    def render(self) -> list[str]:
+        """What ``render`` gives for each of ``equations``, read off the rows."""
+        return [_render(ctx, row) for ctx, row in self._entries()]
+
     def __len__(self) -> int:
-        return len(self.equations)
+        return sum(map(len, self.rows))
+
+    def _context_rows(self, context: Context) -> tuple[int, ...]:
+        return dict(zip(self.scenario.contexts, self.rows)).get(context, ())
 
     def context_basis(self, context: Context) -> tuple[LinearEquation, ...]:
-        return tuple(eq for eq in self.equations if eq.context == context)
+        return tuple(_equation(context, row) for row in self._context_rows(context))
 
     def span(self, context: Context) -> tuple[LinearEquation, ...]:
         """Every equation the context's basis implies, the zero one included."""
-        basis = self.context_basis(context)
         if len(context) > SPAN_LIMIT:
             raise SizeLimitError(
                 f"span enumeration refused for context of size {len(context)} > {SPAN_LIMIT}")
-        k = len(context)
-        seen = {}
-        for combo in range(1 << len(basis)):
-            mask, const = 0, 0
-            for i, eq in enumerate(basis):
-                if (combo >> i) & 1:
-                    mask ^= eq.coefficient_mask()
-                    const ^= eq.constant
-            seen[(mask, const)] = LinearEquation(
-                context, tuple((mask >> i) & 1 for i in range(k)), const)
-        return tuple(sorted(seen.values()))
+        span = {0}
+        for row in self._context_rows(context):
+            span |= {row ^ s for s in span}
+        return tuple(sorted(_equation(context, row) for row in span))
 
     def implies(self, equation: LinearEquation) -> bool:
         """Is the equation in the span of its context's basis?"""
-        k = len(equation.context)
-        basis = gf2.AffineBasis(k + 1)  # the constant rides in bit k
-        for eq in self.context_basis(equation.context):
-            basis.add(eq.coefficient_mask() | eq.constant << k, 0)
-        return basis.reduce(equation.coefficient_mask() | equation.constant << k)[0] == 0
-
-
-def _reduce_per_context(equations: Iterable[LinearEquation]) -> tuple[LinearEquation, ...]:
-    by_ctx: dict[Context, list[LinearEquation]] = {}
-    for eq in equations:
-        by_ctx.setdefault(eq.context, []).append(eq)
-    out = []
-    for ctx in sorted(by_ctx):
-        k = len(ctx)
-        # the constant rides in bit k: a row reducing to 0 drops out, and one
-        # with its pivot there is 0 = 1, which is kept
-        rows = [eq.coefficient_mask() | (eq.constant << k) for eq in by_ctx[ctx]]
-        for row in gf2.rref(rows)[0]:
-            out.append(LinearEquation(
-                ctx, tuple((row >> i) & 1 for i in range(k)), (row >> k) & 1))
-    return tuple(sorted(out))
+        # the basis is reduced, so each row clears the equation's bit at its pivot
+        row = equation.row()
+        for basis_row in self._context_rows(equation.context):
+            if row >> gf2.lowest_bit(basis_row) & 1:
+                row ^= basis_row
+        return row == 0
 
 
 def theory_of_supports(model: EmpiricalModel | PossibilisticModel) -> LinearTheory:
     """All parity equations every possible outcome of each context obeys.
 
     Per context this is the annihilator of the support vectors augmented
-    with a constant coordinate, returned as a reduced basis.
+    with a constant coordinate.
     """
     if isinstance(model, EmpiricalModel):
         model = possibilistic_collapse(model)
     scenario = model.scenario
-    equations = []
+    rows = []
     for ctx in scenario.contexts:
         k = len(ctx)
-        rows = []
-        for s in sorted(model.supports[ctx]):
-            mask = 0
-            for i, v in enumerate(s.values):
-                mask |= (v & 1) << i
-            rows.append(mask | (1 << k))
-        for v in gf2.nullspace(rows, k + 1):
-            equations.append(LinearEquation(
-                ctx, tuple((v >> i) & 1 for i in range(k)), (v >> k) & 1))
-    return LinearTheory(scenario, equations)
+        support = [sum((v & 1) << i for i, v in enumerate(s.values)) | 1 << k
+                   for s in model.supports[ctx]]
+        rows.append(gf2.nullspace(support, k + 1))
+    return LinearTheory.from_rows(scenario, rows)
 
 
 @dataclass(frozen=True)
@@ -197,20 +208,20 @@ def is_consistent(theory: LinearTheory) -> ConsistencyResult:
     """Global GF(2) solve across contexts, with certificate extraction.
 
     It stops at the first contradiction 0 = 1, with the certificate a full
-    pass would give: the basis never replaces its first conflict.
+    pass would give: the basis never replaces its first conflict. Only the
+    certificate's rows become LinearEquations.
     """
     labels = theory.scenario.measurements
     index = {m: i for i, m in enumerate(labels)}
     system = gf2.AffineBasis(len(labels))
-    for eq in theory.equations:
-        mask = 0
-        for m, c in zip(eq.context.members, eq.coefficients):
-            if c:
-                mask |= 1 << index[m]
-        system.add(mask, eq.constant)
-        if system.conflict is not None:
-            cert = tuple(e for i, e in enumerate(theory.equations) if system.conflict >> i & 1)
-            return ConsistencyResult(False, None, cert)
+    for ctx, rows in zip(theory.scenario.contexts, theory.rows):
+        bits = [1 << index[m] for m in ctx.members]
+        for row in rows:
+            system.add(sum(b for i, b in enumerate(bits) if row >> i & 1), row >> len(ctx))
+            if system.conflict is not None:
+                cert = tuple(_equation(c, r) for i, (c, r) in enumerate(theory._entries())
+                             if system.conflict >> i & 1)
+                return ConsistencyResult(False, None, cert)
     sol = system.solution()
     values = tuple((sol >> i) & 1 for i in range(len(labels)))
     return ConsistencyResult(True, Assignment(labels, values), None)
@@ -228,11 +239,11 @@ def theory_to_dict(theory: LinearTheory) -> dict:
         "scenario": scenario_to_dict(theory.scenario),
         "equations": [
             {
-                "context": list(eq.context.members),
-                "r": {m: c for m, c in zip(eq.context.members, eq.coefficients)},
-                "a": eq.constant,
+                "context": list(ctx.members),
+                "r": {m: row >> i & 1 for i, m in enumerate(ctx.members)},
+                "a": row >> len(ctx),
             }
-            for eq in theory.equations
+            for ctx, row in theory._entries()
         ],
     }
 
@@ -246,9 +257,15 @@ def theory_from_dict(data: object) -> LinearTheory:
     if not isinstance(raw, list):
         raise ParseError("'equations' must be a list")
     for item in raw:
-        if not isinstance(item, dict) or "context" not in item or "r" not in item:
+        if not isinstance(item, dict) or not {"context", "r", "a"} <= item.keys():
             raise ParseError("each equation needs 'context', 'r' and 'a'")
-        ctx = Context(item["context"])
-        coefs = tuple(int(item["r"].get(m, 0)) for m in ctx.members)
-        equations.append(LinearEquation(ctx, coefs, int(item.get("a", 0))))
+        members, coefs, const = item["context"], item["r"], item["a"]
+        if not isinstance(members, list) or not isinstance(coefs, dict):
+            raise ParseError("an equation's 'context' must be a list and 'r' an object")
+        ctx = Context(members)
+        if not coefs.keys() <= set(ctx.members):
+            raise ParseError(f"'r' names measurements outside the context {ctx}")
+        if not all(type(b) is int and b in (0, 1) for b in (*coefs.values(), const)):
+            raise ParseError("'r' values and 'a' must be the integers 0 or 1")
+        equations.append(LinearEquation(ctx, (coefs.get(m, 0) for m in ctx.members), const))
     return LinearTheory(scenario, equations)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gf2
 from .errors import ClosureLimitError, ParseError, ValidationError
-from .linear_theory import LinearEquation, LinearTheory
+from .linear_theory import LinearTheory, is_consistent
 from .scenario import Context, MeasurementScenario
 
 CLOSURE_LIMIT = 4096
@@ -265,11 +265,6 @@ def _neighbors(words: list[int], n: int) -> list[int]:
     return neighbors
 
 
-def _cliques(words: list[int], n: int) -> list[int]:
-    """Maximal commuting cliques of the words, as masks over their positions."""
-    return _max_cliques(_neighbors(words, n)) if words else []
-
-
 def _intransitive(neighbors: list[int], within: int) -> bool:
     """Do two commuting vertices of ``within`` outside its centre, the vertices
     commuting with all of it, have different closed neighbourhoods there?"""
@@ -285,7 +280,7 @@ def _cover(words: list[int], labels: list[str], n: int) -> list[tuple[Context, l
     """Maximal commuting cliques as sorted contexts, each with its members'
     words in the context's label order."""
     out = []
-    for clique in _cliques(words, n):
+    for clique in _max_cliques(_neighbors(words, n)) if words else []:
         members = sorted((labels[i], words[i]) for i in range(len(words)) if clique >> i & 1)
         out.append((Context(lab for lab, _ in members), [w for _, w in members]))
     out.sort(key=lambda pair: pair[0])
@@ -359,13 +354,14 @@ def partial_closure(s: PauliSet) -> PauliSet:
 
 
 def _parity_rows(words: list[int], n: int) -> list[int]:
-    """Reduced parity rows r | sign << k of one context's k member words.
+    """Independent parity rows r | sign << k of one context's k member words.
 
     Bit i of r flags words[i]. The words are eliminated in order, phases
     tracked by ``_mul`` as in a stabilizer tableau; each word that reduces
     to +-identity gives a member subset and its sign, 1 for -identity,
     linear in the subset as commuting members square to the identity.
-    One rref of these rows gives the context's reduced equations.
+    Each row holds its own word's bit above those of the words it used, so
+    the rows are independent and span every such subset.
     """
     k, low = len(words), (1 << 2 * n) - 1
     basis: list[tuple[int, int, int]] = []  # (pivot bit, word, combination)
@@ -381,7 +377,7 @@ def _parity_rows(words: list[int], n: int) -> list[int]:
             raise AssertionError(f"member product {_operator(w, n)} is not +-identity")
         else:
             rows.append(combo | (w >> 2 * n + 1) << k)
-    return gf2.rref(rows)[0]
+    return rows
 
 
 def state_independent_theory(s: PauliSet) -> LinearTheory:
@@ -389,47 +385,28 @@ def state_independent_theory(s: PauliSet) -> LinearTheory:
 
     For each context, products of member subsets that collapse to +-identity
     pin the mod-2 sum of those outcomes to the product's sign; the theory
-    holds each context's reduced basis of them (``_parity_rows``).
+    reduces each context's ``_parity_rows``.
     """
     n = s.num_qubits
     words, labels = _vertices(s)
     cover = _cover(words, labels, n)
-    equations = []
-    for ctx, ctx_words in cover:
-        k = len(ctx_words)
-        # falling pivots are ascending coefficient tuples, the canonical order
-        equations.extend(LinearEquation(ctx, (row >> i & 1 for i in range(k)), row >> k)
-                         for row in reversed(_parity_rows(ctx_words, n)))
     scenario = MeasurementScenario(labels, [ctx for ctx, _ in cover], (0, 1), "Z2")
-    return LinearTheory._from_reduced(scenario, equations)
+    # the cover is sorted, so it is in the scenario's context order
+    return LinearTheory.from_rows(scenario, [_parity_rows(w, n) for _, w in cover])
 
 
 def is_state_independent_avn(s: PauliSet, in_closure: bool = False) -> bool:
     """Is the set's (or its closure's) state-independent theory inconsistent?
 
-    Neither builds a theory. The bare set's parity rows go into one affine
-    system over the non-identity members, the one ``is_consistent`` solves,
-    which stops at the first 0 = 1. The closure is not built either (Kirby
-    and Love, PRL 123, 200501, 2019): its theory is inconsistent exactly when
-    some commuting a ~ b ~ c outside the centre, the members commuting with
-    every member, has a and c anticommuting.
+    The bare set's theory is solved by ``is_consistent``. The closure is not
+    built (Kirby and Love, PRL 123, 200501, 2019): its theory is
+    inconsistent exactly when some commuting a ~ b ~ c outside the centre,
+    the members commuting with every member, has a and c anticommuting.
     """
-    n = s.num_qubits
+    if not in_closure:
+        return not is_consistent(state_independent_theory(s)).consistent
     words = [_word(op) for op in s.members if not op.is_identity_like()]
-    if in_closure:
-        return _intransitive(_neighbors(words, n), (1 << len(words)) - 1)
-    system = gf2.AffineBasis(len(words))
-    for clique in _cliques(words, n):
-        index = [i for i in range(len(words)) if clique >> i & 1]
-        for row in _parity_rows([words[i] for i in index], n):
-            mask = 0
-            for j, i in enumerate(index):
-                if row >> j & 1:
-                    mask |= 1 << i
-            system.add(mask, row >> len(index))
-            if system.conflict is not None:
-                return True
-    return False
+    return _intransitive(_neighbors(words, s.num_qubits), (1 << len(words)) - 1)
 
 
 # --------------------------------------------------------- determining trees

@@ -39,6 +39,7 @@ from contextuality.corpus import (
     xy322_plus_model,
     xz222_model,
 )
+from contextuality import exactlp
 from contextuality.scenario import enumerate_assignments
 
 
@@ -112,6 +113,34 @@ def test_ncf_witness_is_a_valid_subdistribution():
         for s, w in model.rows[ctx].weights.items():
             mass = sum(v for g, v in res.witness.items() if g.extends(s))
             assert mass <= w
+
+
+def test_ncf_lp_leaves_out_dead_rows(monkeypatch):
+    """Rows zero over the surviving columns never reach maximize, and the LP
+    with them gives the same optimum and vertex."""
+    seen = []
+    real = exactlp.maximize
+
+    def recording(cost, lhs, rhs):
+        seen.append(lhs)
+        return real(cost, lhs, rhs)
+
+    monkeypatch.setattr(exactlp, "maximize", recording)
+    dead = 0
+    for model in (chsh_model(), xz222_model(), convex_mix(chsh_model(), pr_box(), Fraction(1, 3))):
+        seen.clear()
+        res = noncontextual_fraction(model)
+        assert len(seen) == 1 and all(any(row) for row in seen[0])
+        inc = build_incidence(model.scenario)
+        vec = model_vector(model, inc)
+        cols = [j for j in range(len(inc.columns))
+                if all(v or not mask >> j & 1 for mask, v in zip(inc.row_masks, vec))]
+        full = [[mask >> j & 1 for j in cols] for mask in inc.row_masks]
+        dead += sum(not any(row) for row in full)
+        value, x = real([1] * len(cols), full, vec)
+        assert value == res.ncf
+        assert {inc.columns[j]: xj for j, xj in zip(cols, x) if xj} == dict(res.witness)
+    assert dead > 0
 
 
 def test_ncf_interpolates_along_mixtures():

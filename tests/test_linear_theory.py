@@ -10,6 +10,7 @@ from contextuality import (
     LinearEquation,
     LinearTheory,
     MeasurementScenario,
+    ParseError,
     PauliSet,
     PossibilisticModel,
     SizeLimitError,
@@ -23,7 +24,7 @@ from contextuality import (
     theory_of_supports,
     theory_to_dict,
 )
-from contextuality import gf2
+from contextuality import cli, gf2
 from contextuality.corpus import (
     mermin_square_possibilistic,
     mermin_square_scenario,
@@ -32,7 +33,7 @@ from contextuality.corpus import (
     xz222_model,
 )
 from contextuality.scan import _positive_paulis
-from contextuality.scenario import enumerate_assignments
+from contextuality.scenario import enumerate_assignments, scenario_to_dict
 
 
 def tiny_scenario():
@@ -138,12 +139,6 @@ def test_is_avn_verdicts():
     assert not is_avn(xz222_model())
 
 
-def test_theory_json_round_trip():
-    t = theory_of_supports(mermin_square_possibilistic())
-    data = json.loads(json.dumps(theory_to_dict(t)))
-    assert theory_from_dict(data) == t
-
-
 def test_ghz_support_theory_is_avn_with_certificate():
     t = theory_of_supports(xy322_ghz_model())
     res = is_consistent(t)
@@ -215,3 +210,52 @@ def test_first_conflict_exit_matches_full_pass():
         early += theory.equations.index(result.certificate[-1]) < len(theory) - 1
     assert verdicts == {(src, b) for src in ("supports", "closure") for b in (False, True)}
     assert early > 10  # the solve stopped before the last equation
+
+
+# ------------------------------------------------- JSON form and equality
+
+def test_theory_json_round_trip(capsys):
+    """JSON, the equations constructor and the CLI rendering all give back
+    the theory held as rows."""
+    rng = random.Random(83)
+    theories = [theory_of_supports(mermin_square_possibilistic())]
+    theories += [theory_of_supports(random_support_model(rng)) for _ in range(60)]
+    sets = [PauliSet(n, rng.sample(_positive_paulis(n), k))
+            for n, k in ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5)) for _ in range(4)]
+    theories += [state_independent_theory(partial_closure(s)) for s in sets]
+    assert any(len(t) == 0 for t in theories) and any(len(t) > 20 for t in theories)
+    for t in theories:
+        back = theory_from_dict(json.loads(json.dumps(theory_to_dict(t))))
+        assert back == t and hash(back) == hash(t)
+        assert LinearTheory(t.scenario, t.equations) == t
+        assert len(t) == len(t.equations)
+        assert list(t.equations) == sorted(t.equations)  # the canonical order
+        assert t.render() == [e.render() for e in t.equations]
+    for s in sets:
+        assert cli.main(["closure", "--format", "json", *s.labels()]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        closed = state_independent_theory(partial_closure(s))
+        assert payload["equations"] == [e.render() for e in closed.equations]
+
+
+def test_theory_from_dict_refuses_malformed_equations():
+    items = [
+        {"context": ["x", "y"], "r": {"zz": 1}, "a": 1},  # once read as 0 = 1
+        {"context": ["x", "y"], "r": {"x": 1.7}, "a": 0},
+        {"context": ["x", "y"], "r": {"x": 2}, "a": 0},
+        {"context": ["x", "y"], "r": {"x": True}, "a": 0},
+        {"context": ["x", "y"], "r": {"x": 1}, "a": "1"},
+        {"context": ["x", "y"], "r": {"x": 1}, "a": True},
+        {"context": ["x", "y"], "r": {"x": 1}, "a": "q"},
+        {"context": ["x", "y"], "r": {"x": 1}},
+        {"context": ["x", "y"], "r": [1, 0], "a": 0},
+        {"context": "xy", "r": {"x": 1}, "a": 0},
+        {"context": 5, "r": {}, "a": 0},
+    ]
+    scenario = scenario_to_dict(tiny_scenario())
+    for item in items:
+        with pytest.raises(ParseError):
+            theory_from_dict({"scenario": scenario, "equations": [item]})
+    good = {"context": ["x", "y"], "r": {"x": 1}, "a": 1}
+    theory = theory_from_dict({"scenario": scenario, "equations": [good]})
+    assert [e.render() for e in theory.equations] == ["s(x) = 1"]

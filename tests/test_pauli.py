@@ -28,7 +28,7 @@ from contextuality import (
     state_independent_theory,
     validate_scenario,
 )
-from contextuality import gf2
+from contextuality import cli, gf2
 from contextuality.pauli import (
     CLOSURE_LIMIT,
     GRAPH_CLASS_NAMES,
@@ -676,10 +676,12 @@ def test_parity_rows_against_kernel_reference():
     counts = {"empty": 0, "several": 0, "signed": 0}
     for words, n in contexts:
         rows = _parity_rows(words, n)
-        assert rows == reference_parity_rows(words, n)
-        counts["empty"] += not rows
-        counts["several"] += len(rows) > 1
-        counts["signed"] += any(row >> len(words) for row in rows)
+        reduced = gf2.rref(rows)[0]
+        assert len(reduced) == len(rows)  # the rows are independent
+        assert reduced == reference_parity_rows(words, n)
+        counts["empty"] += not reduced
+        counts["several"] += len(reduced) > 1
+        counts["signed"] += any(row >> len(words) for row in reduced)
     assert min(counts.values()) > 50
     assert {n for _, n in contexts} == {1, 2, 3, 4}
     assert max(len(words) for words, _ in contexts) == 30  # all 15 Z words, both signs
@@ -691,8 +693,10 @@ def test_parity_rows_refuse_a_non_commuting_context():
         _parity_rows(words, 1)
 
 
-def test_theory_builds_each_equation_once(monkeypatch):
-    built = {"equation": 0, "reducing": 0}
+def test_theory_builds_each_equation_once(monkeypatch, capsys):
+    """Equations are built only for certificates: none for a consistent
+    closure, one per certificate member for an inconsistent one."""
+    built = {"equation": 0, "from_equations": 0}
 
     def counting(cls, key, init):
         def wrapper(self, *args, **kwargs):
@@ -701,10 +705,23 @@ def test_theory_builds_each_equation_once(monkeypatch):
         monkeypatch.setattr(cls, "__init__", wrapper)
 
     counting(LinearEquation, "equation", LinearEquation.__init__)
-    counting(LinearTheory, "reducing", LinearTheory.__init__)
-    closed = partial_closure(xz222_set())
-    theory = state_independent_theory(closed)
-    assert built == {"equation": len(theory.equations), "reducing": 0}
-    built["equation"] = 0
-    assert is_state_independent_avn(closed) and is_state_independent_avn(xz222_set(), True)
-    assert built == {"equation": 0, "reducing": 0}
+    counting(LinearTheory, "from_equations", LinearTheory.__init__)
+    consistent = PauliSet.from_strings(["XI", "ZI", "IX", "XX"])
+    for base, avn in ((consistent, False), (xz222_set(), True)):
+        closed = partial_closure(base)
+        theory = state_independent_theory(closed)
+        rendered = theory.render()
+        result = is_consistent(theory)
+        assert result.consistent is not avn and len(rendered) == len(theory) > 0
+        expected = len(result.certificate) if avn else 0
+        assert built == {"equation": expected, "from_equations": 0}
+        built["equation"] = 0
+        assert cli.main(["closure", *(str(op) for op in base.members)]) == 0
+        assert f"si_avn: {'true' if avn else 'false'}" in capsys.readouterr().out
+        assert built == {"equation": expected, "from_equations": 0}
+        built["equation"] = 0
+        assert is_state_independent_avn(closed) is avn
+        assert built == {"equation": expected, "from_equations": 0}
+        built["equation"] = 0
+        assert is_state_independent_avn(base, True) is avn
+        assert built == {"equation": 0, "from_equations": 0}
