@@ -17,11 +17,24 @@ def rref(rows: list[int]) -> tuple[list[int], list[int]]:
     Returns (reduced nonzero rows sorted by pivot, pivot positions).
     Each pivot coordinate appears in exactly one row.
     """
-    basis = AffineBasis(max(rows, default=0).bit_length())
+    basis: dict[int, int] = {}  # pivot bit -> row
+    pivots = 0
     for r in rows:
-        basis.add(r, 0)
-    pivots = sorted(basis.rows)
-    return [basis.rows[p][0] for p in pivots], pivots
+        # stored rows are fully reduced, so r's pivot bits name the rows to add
+        hits = r & pivots
+        while hits:
+            bit = hits & -hits
+            r ^= basis[bit]
+            hits ^= bit
+        if r:
+            bit = r & -r
+            for q, row in basis.items():
+                if row & bit:
+                    basis[q] = row ^ r
+            basis[bit] = r
+            pivots |= bit
+    order = sorted(basis)
+    return [basis[b] for b in order], [b.bit_length() - 1 for b in order]
 
 
 def nullspace(rows: list[int], width: int) -> list[int]:

@@ -262,6 +262,8 @@ def theory_from_dict(data: object) -> LinearTheory:
         members, coefs, const = item["context"], item["r"], item["a"]
         if not isinstance(members, list) or not isinstance(coefs, dict):
             raise ParseError("an equation's 'context' must be a list and 'r' an object")
+        if not all(isinstance(m, str) for m in members):
+            raise ParseError("an equation's context labels must be strings")
         ctx = Context(members)
         if not coefs.keys() <= set(ctx.members):
             raise ParseError(f"'r' names measurements outside the context {ctx}")

@@ -19,6 +19,21 @@ build PauliOperator objects only for what they return. No closure is
 built to decide closure AvN: by Kirby and Love (PRL 123, 200501, 2019) it
 holds exactly when commutation is not transitive outside the centre, the
 members that commute with every member.
+
+Work over pairs of words runs as whole-array numpy kernels: ``_commuting``
+gives the commutation matrix of two word arrays and ``_products`` their
+products, each taking the parity of a symplectic overlap by XOR folding,
+which needs no popcount and so runs on numpy 1.24 and on object arrays
+alike. The closure multiplies its elements by each round's frontier, and
+``kl_witness`` takes the defect of each commuting pair, in row blocks of
+at most ``_BLOCK`` = 2^16 cells, so no temporary grows with the square of
+the closure and a closure past the cap raises after one block. Words are
+int64 while they fit in 62 bits (n <= 30 qubits) and Python ints in
+``dtype=object`` arrays past that, as are D-set masks over more than 62
+generators; one code path serves both, its dtype computed from the width.
+``_neighbors`` stays in pure Python on bit planes, one mask per bit of
+the swapped words: a cover is often a handful of words, where a numpy
+call costs more than the whole loop.
 """
 
 from __future__ import annotations
@@ -170,6 +185,48 @@ def _mul(a: int, b: int, n: int) -> int:
     return (phase & 3) << 2 * n | (a ^ b) & ((1 << 2 * n) - 1)
 
 
+# ------------------------------------------------------- the pair kernel
+
+_BLOCK = 1 << 16  # cells in any one kernel temporary
+
+
+def _dtype(bits: int) -> type:
+    """int64 for values of at most 62 bits, Python ints past that."""
+    return np.int64 if bits <= 62 else object
+
+
+def _parity(t: np.ndarray, bits: int) -> np.ndarray:
+    """Parity of each entry's low ``bits`` bits by XOR folding; overwrites t."""
+    shift = 1
+    while shift < bits:
+        shift <<= 1
+    while shift > 1:
+        shift >>= 1
+        t ^= t >> shift
+    return t & 1
+
+
+def _commuting(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Boolean matrix over two word arrays: does a[i] commute with b[j]?"""
+    return _parity(_swap(a, n)[:, None] & b, 2 * n) == 0
+
+
+def _products(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """``_mul`` over two word arrays of one shape."""
+    mask = (1 << n) - 1
+    phase = (a >> 2 * n) + (b >> 2 * n) + 2 * _parity(a & b >> n & mask, n)
+    return (phase & 3) << 2 * n | (a ^ b) & ((1 << 2 * n) - 1)
+
+
+def _first_of_each(values: np.ndarray) -> np.ndarray:
+    """Position of the first occurrence of each distinct value, ascending."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    return np.sort(order[head])
+
+
 @dataclass(frozen=True)
 class PauliSet:
     """A finite set of Hermitian group members, canonically ordered."""
@@ -254,14 +311,26 @@ def _vertices(s: PauliSet) -> tuple[list[int], list[str]]:
 
 
 def _neighbors(words: list[int], n: int) -> list[int]:
-    """Each word's commuting neighbours, itself excluded, as a mask over positions."""
-    swaps = [_swap(w, n) for w in words]
-    neighbors = [0] * len(words)
-    for i, a in enumerate(words):
-        for j in range(i + 1, len(words)):
-            if not (a & swaps[j]).bit_count() & 1:
-                neighbors[i] |= 1 << j
-                neighbors[j] |= 1 << i
+    """Each word's commuting neighbours, itself excluded, as a mask over positions.
+
+    Plane t masks the words whose swapped word has bit t set. The
+    symplectic form is bilinear, so the words anticommuting with a are
+    the XOR of the planes at a's bits.
+    """
+    planes = [0] * (2 * n)
+    for i, w in enumerate(words):
+        bits = _swap(w, n)
+        while bits:
+            planes[(bits & -bits).bit_length() - 1] |= 1 << i
+            bits &= bits - 1
+    low, full = (1 << 2 * n) - 1, (1 << len(words)) - 1
+    neighbors = []
+    for i, w in enumerate(words):
+        anti, bits = 0, w & low
+        while bits:
+            anti ^= planes[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
+        neighbors.append(full ^ anti ^ 1 << i)
     return neighbors
 
 
@@ -316,31 +385,34 @@ def _closure_with_derivations(
     terminates.
     """
     n = s.num_qubits
-    mask, low = (1 << n) - 1, (1 << 2 * n) - 1
+    dtype = _dtype(2 * n + 2)
     deriv: dict[int, tuple[int, int] | None] = {_word(op): None for op in s.members}
     if 0 not in deriv:
         deriv[0] = (_word(s.members[0]),) * 2 if s.members else None
     frontier = sorted(deriv)
-    elements = set(deriv)
     while frontier:
+        elements = np.array(sorted(deriv), dtype)
+        front = np.array(frontier, dtype)
         added: dict[int, tuple[int, int]] = {}
-        front = [(b, b >> 2 * n, b >> n & mask) for b in frontier]
-        for a in sorted(elements):
-            swapped, pa, za = _swap(a, n), a >> 2 * n, a & mask
-            for b, pb, xb in front:
-                if a == b or (swapped & b).bit_count() & 1:
-                    continue
-                # _mul(a, b, n) with the parts of a and b taken out of the loop
-                prod = ((pa + pb + 2 * (za & xb).bit_count()) & 3) << 2 * n | (a ^ b) & low
-                if prod not in elements and prod not in added:
+        rows = max(1, _BLOCK // len(front))
+        for start in range(0, len(elements), rows):
+            block = elements[start:start + rows]
+            # pairs with a == b stay: a * a is the identity, an element from the start
+            i, j = np.nonzero(_commuting(block, front, n))
+            prods = _products(block[i], front[j], n)
+            # the products that were not elements before this round
+            at = np.minimum(np.searchsorted(elements, prods), len(elements) - 1)
+            new = np.flatnonzero(elements[at] != prods)
+            first = new[_first_of_each(prods[new])]
+            for prod, a, b in zip(prods[first].tolist(), block[i[first]].tolist(),
+                                  front[j[first]].tolist()):
+                if prod not in added:
                     added[prod] = (a, b)
-                    if len(elements) + len(added) > CLOSURE_LIMIT:
-                        raise ClosureLimitError(
-                            f"partial closure exceeds {CLOSURE_LIMIT} members")
+            if len(deriv) + len(added) > CLOSURE_LIMIT:
+                raise ClosureLimitError(f"partial closure exceeds {CLOSURE_LIMIT} members")
         deriv.update(added)
-        elements.update(added)
         frontier = sorted(added)
-    return sorted(elements), deriv
+    return sorted(deriv), deriv
 
 
 def partial_closure(s: PauliSet) -> PauliSet:
@@ -522,6 +594,36 @@ def _replay_dsets(
     return dsets
 
 
+def _kl_generators(
+    elements: list[int], dsets: dict[int, int], n: int, width: int,
+) -> list[tuple[int, tuple[int, int]]]:
+    """The defect D(a) xor D(b) xor D(ab) of the first commuting pair a < b
+    giving each distinct nonzero defect, in pair order.
+
+    A repeated defect is already in the span of the first, so it could
+    never enter a basis that the pairs are fed to in order.
+    """
+    words = np.array(elements, _dtype(2 * n + 2))
+    d = np.array([dsets[w] for w in elements], _dtype(width))
+    seen: set[int] = set()
+    out: list[tuple[int, tuple[int, int]]] = []
+    rows = max(1, _BLOCK // len(words))
+    for start in range(0, len(words), rows):
+        block, rest = words[start:start + rows], words[start:]
+        upper = np.arange(len(block))[:, None] < np.arange(len(rest))
+        i, j = np.nonzero(_commuting(block, rest, n) & upper)
+        # ab is an element: the closure holds each product of commuting elements
+        prods = _products(block[i], rest[j], n)
+        g = d[start + i] ^ d[start + j] ^ d[np.searchsorted(words, prods)]
+        hit = np.flatnonzero(g != 0)
+        hit = hit[_first_of_each(g[hit])]
+        for gk, a, b in zip(g[hit].tolist(), block[i[hit]].tolist(), rest[j[hit]].tolist()):
+            if gk not in seen:
+                seen.add(gk)
+                out.append((gk, (a, b)))
+    return out
+
+
 def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
     """Determining trees for some x and -x sharing a determining set.
 
@@ -538,15 +640,7 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
     elements, deriv = _closure_with_derivations(s)
     dsets = _replay_dsets(s, elements, deriv)
 
-    generators: list[tuple[int, tuple[int, int]]] = []
-    for i, a in enumerate(elements):
-        swapped = _swap(a, n)
-        for b in elements[i + 1:]:
-            if (swapped & b).bit_count() & 1:
-                continue
-            g = dsets[a] ^ dsets[b] ^ dsets[_mul(a, b, n)]
-            if g:
-                generators.append((g, (a, b)))
+    generators = _kl_generators(elements, dsets, n, len(s.members))
 
     # the generator masks, each combination over the generators' indices
     basis = gf2.AffineBasis(len(s.members))

@@ -257,6 +257,8 @@ def scenario_from_dict(data: object) -> MeasurementScenario:
         raise ParseError("scenario measurements and contexts must be lists")
     if not all(isinstance(c, list) for c in contexts):
         raise ParseError("each context must be a list of labels")
+    if not all(isinstance(m, str) for m in [*measurements, *(m for c in contexts for m in c)]):
+        raise ParseError("measurement labels must be strings")
     if isinstance(outcomes, list) and any(isinstance(o, bool) for o in outcomes):
         raise ParseError("scenario outcomes must be integers, not booleans")
     return MeasurementScenario(measurements, contexts, outcomes, ring)

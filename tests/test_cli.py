@@ -16,8 +16,11 @@ from contextuality import (
     Assignment,
     ContextDistribution,
     EmpiricalModel,
+    ParseError,
     model_to_dict,
+    scenario_from_dict,
     scenario_to_dict,
+    theory_from_dict,
 )
 from contextuality.cli import main
 from contextuality.corpus import REGISTRY, chsh_model, chsh_scenario
@@ -265,6 +268,25 @@ def test_json_booleans_are_not_numbers_exit_3(tmp_path, capsys, kind, data):
     assert code == 3
     assert err.startswith("error: ")
     assert out == ""
+
+
+def test_labels_that_are_not_strings_are_parse_errors(tmp_path, capsys):
+    # a list label once reached set() inside Context and ended in a TypeError
+    bad_scenarios = [{"measurements": [["x"]], "contexts": [["x"]]},
+                     {"measurements": ["x"], "contexts": [[["x"]]]},
+                     {"measurements": ["x", 1], "contexts": [["x", 1]]}]
+    for data in bad_scenarios:
+        with pytest.raises(ParseError):
+            scenario_from_dict(data)
+    scenario = {"measurements": ["x"], "contexts": [["x"]]}
+    with pytest.raises(ParseError):
+        theory_from_dict({"scenario": scenario,
+                          "equations": [{"context": [["x"]], "r": {}, "a": 0}]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(bad_scenarios[0]))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert err.startswith("error: ") and out == ""
 
 
 def test_closure_payload(capsys):

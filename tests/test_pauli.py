@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 from operator import attrgetter
 
@@ -28,7 +29,7 @@ from contextuality import (
     state_independent_theory,
     validate_scenario,
 )
-from contextuality import cli, gf2
+from contextuality import cli, gf2, pauli
 from contextuality.pauli import (
     CLOSURE_LIMIT,
     GRAPH_CLASS_NAMES,
@@ -38,10 +39,13 @@ from contextuality.pauli import (
     _closure_with_derivations,
     _cover,
     _intransitive,
+    _kl_generators,
     _max_cliques,
     _mul,
+    _neighbors,
     _operator,
     _parity_rows,
+    _replay_dsets,
     _swap,
     _vertices,
     _word,
@@ -501,6 +505,122 @@ def test_kl_pattern_test_against_reference_closure():
         assert kl_pattern_test(s) == expected
         verdicts.add(expected.avn)
     assert verdicts == {False, True}
+
+
+# The scalar pair loops that the array kernel replaced, kept as references.
+
+def reference_closure_loop(s):
+    """The word closure as one scalar loop over element x frontier pairs."""
+    n = s.num_qubits
+    deriv = {_word(op): None for op in s.members}
+    if 0 not in deriv:
+        deriv[0] = (_word(s.members[0]),) * 2 if s.members else None
+    frontier = sorted(deriv)
+    elements = set(deriv)
+    while frontier:
+        added = {}
+        for a in sorted(elements):
+            for b in frontier:
+                if a == b or (_swap(a, n) & b).bit_count() & 1:
+                    continue
+                prod = _mul(a, b, n)
+                if prod not in elements and prod not in added:
+                    added[prod] = (a, b)
+        deriv.update(added)
+        elements.update(added)
+        frontier = sorted(added)
+    return sorted(elements), deriv
+
+
+def reference_neighbors(words, n):
+    """Commuting neighbour masks by one symplectic product per pair."""
+    neighbors = [0] * len(words)
+    for i, a in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if not (a & _swap(words[j], n)).bit_count() & 1:
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    return neighbors
+
+
+def reference_kl_generators(elements, dsets, n):
+    """Every commuting pair a < b with a nonzero defect, in pair order."""
+    out = []
+    for i, a in enumerate(elements):
+        for b in elements[i + 1:]:
+            if not (_swap(a, n) & b).bit_count() & 1:
+                g = dsets[a] ^ dsets[b] ^ dsets[_mul(a, b, n)]
+                if g:
+                    out.append((g, (a, b)))
+    return out
+
+
+def kernel_test_sets():
+    """Seeded sets on 1-5 qubits with signed and identity-like members, sets
+    on 31, 33 and 70 qubits, whose words pass 62 bits, and a closure of 72
+    members, whose D-sets pass 62 bits."""
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        ops = {random_operator(rng, n, hermitian=True) for _ in range(rng.randint(1, 8))}
+        if rng.random() < 0.4:
+            ops.add(next(iter(ops)).negate())
+        if rng.random() < 0.3:
+            ops.add(PauliOperator(n, rng.choice((0, 2)), 0, 0))
+        yield PauliSet(n, ops)
+    for n in (31, 33, 70):
+        for _ in range(4):
+            # sparse words, so that many pairs commute
+            ops = set()
+            for _ in range(rng.randint(4, 7)):
+                x = sum(1 << rng.randrange(n) for _ in range(3))
+                z = sum(1 << rng.randrange(n) for _ in range(3))
+                ops.add(PauliOperator(n, (x & z).bit_count() + 2 * rng.randrange(2), x, z))
+            yield PauliSet(n, ops)
+    yield partial_closure(mermin_star_set())
+
+
+def test_pair_kernel_against_scalar_loops(monkeypatch):
+    witnesses = sizes = 0
+    for s in kernel_test_sets():
+        n = s.num_qubits
+        ref_elements, ref_deriv = reference_closure_loop(s)
+        ref_witness = reference_kl_witness(s)
+        words, _ = _vertices(s)
+        assert _neighbors(words, n) == reference_neighbors(words, n)
+        assert _neighbors(ref_elements, n) == reference_neighbors(ref_elements, n)
+        dsets = _replay_dsets(s, ref_elements, ref_deriv)
+        first = {}
+        for g, pair in reference_kl_generators(ref_elements, dsets, n):
+            first.setdefault(g, pair)
+        # the default block, and blocks of one or a few rows
+        for block in (1 << 16, 37):
+            monkeypatch.setattr(pauli, "_BLOCK", block)
+            elements, deriv = _closure_with_derivations(s)
+            assert elements == ref_elements
+            assert list(deriv.items()) == list(ref_deriv.items())
+            assert all(type(w) is int for w in elements)
+            generators = _kl_generators(elements, dsets, n, len(s.members))
+            assert generators == list(first.items())
+            assert all(type(g) is int and type(a) is int for g, (a, b) in generators)
+            assert kl_witness(s) == ref_witness
+        witnesses += ref_witness is not None
+        sizes = max(sizes, len(ref_elements))
+    assert witnesses > 5 and sizes > 200
+
+
+def test_closure_cap_stays_in_bounded_blocks():
+    labels = ["".join("X" if j == i else "I" for j in range(7)) for i in range(7)]
+    labels += ["".join("Z" if j == i else "I" for j in range(7)) for i in range(7)]
+    s = PauliSet.from_strings(labels)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureLimitError, match="exceeds 4096 members"):
+            _closure_with_derivations(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def reference_span_combo(generators, target):
