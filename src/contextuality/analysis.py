@@ -4,7 +4,9 @@ The incidence matrix M has a row per (context, local assignment) pair and a
 column per global assignment, with a 1 where the global restricts to the
 local. Rows are bitmasks over the columns; column j holds the outcomes
 given by the base-d digits of j, the last measurement least significant.
-A model vector V stacks the context tables in the same row order.
+A context's rows take the same digit order over its members; the row and
+column assignments are decoded only when read, so building M builds none.
+A model vector V stacks the context tables, each stored in that order.
 
 * max |X| with MX <= V, X >= 0 is the noncontextual fraction; 1 - it is
   the contextual fraction.
@@ -28,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Hashable, Iterable, Mapping
 
 from . import exactlp
@@ -79,16 +82,22 @@ class Columns(Sequence):
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """0/1 restriction matrix, rows as bitmasks over the column order."""
+    """0/1 restriction matrix: row masks over the column order, whose row and
+    column assignments are decoded only when read."""
 
     scenario: MeasurementScenario
-    row_index: tuple[tuple[Context, Assignment], ...]
     columns: Columns
     row_masks: tuple[int, ...]
 
     @property
+    def row_index(self) -> tuple[tuple[Context, Assignment], ...]:
+        """The (context, local assignment) pair of each row."""
+        return tuple((ctx, s) for ctx in self.scenario.contexts
+                     for s in enumerate_assignments(ctx.members, self.scenario.outcomes))
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return len(self.row_index), len(self.columns)
+        return len(self.row_masks), len(self.columns)
 
 
 def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
@@ -96,7 +105,8 @@ def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
 
     The columns where measurement i reads v repeat with period d * run,
     run = d ** (m - 1 - i): a block of run ones at offset v * run. A row's
-    mask is the AND of its members' patterns.
+    mask is the AND of its members' patterns, so a context's masks are the
+    product of its members' patterns, taken in row order.
     """
     d, m = len(scenario.outcomes), len(scenario.measurements)
     if d ** m > GLOBAL_LIMIT:
@@ -109,24 +119,20 @@ def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
         tile = full // ((1 << d * run) - 1)
         for v in scenario.outcomes:
             pattern[label, v] = (((1 << run) - 1) << v * run) * tile
-    row_index = []
     row_masks = []
     for ctx in scenario.contexts:
-        for s in enumerate_assignments(ctx.members, scenario.outcomes):
-            mask = full
-            for label, v in zip(s.labels, s.values):
-                mask &= pattern[label, v]
-            row_index.append((ctx, s))
-            row_masks.append(mask)
-    return IncidenceMatrix(scenario, tuple(row_index),
-                           Columns(scenario.measurements, scenario.outcomes),
+        masks = [full]
+        for label in ctx.members:
+            masks = [mask & pattern[label, v] for mask in masks for v in scenario.outcomes]
+        row_masks += masks
+    return IncidenceMatrix(scenario, Columns(scenario.measurements, scenario.outcomes),
                            tuple(row_masks))
 
 
 def model_vector(model: EmpiricalModel, incidence: IncidenceMatrix | None = None) -> list[Fraction]:
-    """V in the incidence row order."""
-    inc = incidence if incidence is not None else build_incidence(model.scenario)
-    return [model.rows[ctx].weights[s] for ctx, s in inc.row_index]
+    """V in the incidence row order, which is each context's table order."""
+    scenario = incidence.scenario if incidence is not None else model.scenario
+    return [w for ctx in scenario.contexts for w in model.rows[ctx].weights.values()]
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,11 @@ def _sections(model: PossibilisticModel | EmpiricalModel) -> tuple[IncidenceMatr
     if isinstance(model, EmpiricalModel):
         live = [w > 0 for w in model_vector(model, inc)]
     else:
-        live = [s in model.supports[ctx] for ctx, s in inc.row_index]
+        live = []
+        for ctx in model.scenario.contexts:
+            support = {s.values for s in model.supports[ctx]}
+            live += [vals in support
+                     for vals in product(model.scenario.outcomes, repeat=len(ctx))]
     return inc, live, _survivors(inc, live)
 
 

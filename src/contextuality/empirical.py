@@ -33,8 +33,10 @@ from .scenario import (
 class ContextDistribution:
     """Exact distribution over all assignments of one context.
 
-    ``weights`` has a key for every element of E(C); weights are
-    nonnegative rationals summing to one.
+    ``weights`` has a key for every element of E(C), in
+    ``enumerate_assignments`` order whatever the order of the mapping
+    given; readers such as ``analysis.model_vector`` rely on that order.
+    Weights are nonnegative rationals summing to one.
     """
 
     context: Context
@@ -207,12 +209,13 @@ class PossibilisticModel:
         if set(supports) != set(scenario.contexts):
             raise ValidationError("supports must cover exactly the scenario's contexts")
         table = {}
+        d = len(scenario.outcomes)
         for c, sup in supports.items():
             sup = frozenset(sup)
             if not sup:
                 raise ValidationError(f"empty support at {c}")
-            legal = set(enumerate_assignments(c.members, scenario.outcomes))
-            if not sup <= legal:
+            if not all(isinstance(s, Assignment) and s.labels == c.members
+                       and all(v < d for v in s.values) for s in sup):
                 raise ValidationError(f"support at {c} contains foreign assignments")
             table[c] = sup
         object.__setattr__(self, "scenario", scenario)
@@ -294,8 +297,12 @@ def model_from_dict(data: object) -> EmpiricalModel:
         c = by_key[key]
         if not isinstance(table, dict):
             raise ParseError(f"row {key!r} must be an object of outcome weights")
-        weights = {parse_assignment(o, c, scenario.outcomes): _fraction_from_string(w)
-                   for o, w in table.items()}
+        # a string missing from the table is left to parse_assignment, which
+        # raises its error (or decodes non-ASCII digits, as it always has)
+        by_string = {s.to_string(): s
+                     for s in enumerate_assignments(c.members, scenario.outcomes)}
+        weights = {by_string.get(o) or parse_assignment(o, c, scenario.outcomes):
+                   _fraction_from_string(w) for o, w in table.items()}
         rows[c] = ContextDistribution(c, scenario.outcomes, weights)
     missing = set(by_key.values()) - set(rows)
     if missing:

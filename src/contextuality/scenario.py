@@ -2,10 +2,12 @@
 
 A scenario is a triple of measurement labels, a cover of contexts (the
 maximal jointly-measurable subsets), and a shared outcome set 0..k-1.
-Labels are plain strings ordered lexicographically; that order fixes the
+Labels are plain strings without commas (a context's JSON key joins its
+members with commas), ordered lexicographically; that order fixes the
 canonical form of contexts, assignments, and every enumeration in the
-package. Scenarios whose outcomes carry Z2 (sum mod 2) structure set
-``ring="Z2"``, which the parity-equation machinery requires.
+package. Outcome strings carry one digit per member, so JSON holds at most
+``MAX_OUTCOMES`` outcomes. Scenarios whose outcomes carry Z2 (sum mod 2)
+structure set ``ring="Z2"``, which the parity-equation machinery requires.
 
 Construction canonicalizes (sorts, deduplicates) but does not repair:
 covering and anti-chain violations are reported by ``validate_scenario``
@@ -24,6 +26,14 @@ Label = str
 Outcome = int
 
 RINGS = ("Z2", "none")
+MAX_OUTCOMES = 10  # one decimal digit per member in an outcome string
+
+
+def _check_labels(labels: tuple[object, ...]) -> None:
+    if any(not isinstance(m, str) or not m for m in labels):
+        raise ValidationError("measurement labels must be nonempty strings")
+    if any("," in m for m in labels):
+        raise ValidationError("measurement labels must not contain ','")
 
 
 @dataclass(frozen=True, order=True)
@@ -36,8 +46,7 @@ class Context:
         canon = tuple(sorted(set(members)))
         if not canon:
             raise ValidationError("context must contain at least one measurement")
-        if any(not isinstance(m, str) or not m for m in canon):
-            raise ValidationError("measurement labels must be nonempty strings")
+        _check_labels(canon)
         object.__setattr__(self, "members", canon)
 
     def __iter__(self) -> Iterator[Label]:
@@ -137,8 +146,7 @@ class MeasurementScenario:
         ring: str = "Z2",
     ):
         meas = tuple(sorted(set(measurements)))
-        if any(not isinstance(m, str) or not m for m in meas):
-            raise ValidationError("measurement labels must be nonempty strings")
+        _check_labels(meas)
         ctxs = tuple(sorted(set(
             c if isinstance(c, Context) else Context(c) for c in contexts)))
         outs = tuple(outcomes)
@@ -179,10 +187,24 @@ class ScenarioViolation:
 
 
 def enumerate_assignments(labels: Iterable[Label], outcomes: Iterable[Outcome]) -> tuple[Assignment, ...]:
-    """All assignments on ``labels`` in lexicographic outcome order under label order."""
+    """All assignments on ``labels`` in lexicographic outcome order under label order.
+
+    Labels and outcomes are checked once per call, not per assignment; a bad
+    outcome raises the constructor's error at the first row holding it.
+    """
     labs = tuple(sorted(set(labels)))
     outs = tuple(outcomes)
-    return tuple(Assignment(labs, vals) for vals in product(outs, repeat=len(labs)))
+    rows = list(product(outs, repeat=len(labs)))
+    if labs and not all(isinstance(v, int) and v >= 0 for v in outs):
+        for vals in rows:
+            Assignment(labs, vals)
+    out = []
+    for vals in rows:
+        s = object.__new__(Assignment)
+        object.__setattr__(s, "labels", labs)
+        object.__setattr__(s, "values", vals)
+        out.append(s)
+    return tuple(out)
 
 
 def validate_scenario(scenario: MeasurementScenario) -> list[ScenarioViolation]:
@@ -235,6 +257,10 @@ def gyo_core(contexts: Iterable[Context | Iterable[Label]]) -> tuple[Context, ..
 # ----------------------------------------------------------------- JSON form
 
 def scenario_to_dict(scenario: MeasurementScenario) -> dict:
+    if len(scenario.outcomes) > MAX_OUTCOMES:
+        raise ValidationError(
+            f"{len(scenario.outcomes)} outcomes exceed the {MAX_OUTCOMES} that "
+            "one-digit outcome strings can write")
     return {
         "measurements": list(scenario.measurements),
         "outcomes": list(scenario.outcomes),
@@ -257,10 +283,17 @@ def scenario_from_dict(data: object) -> MeasurementScenario:
         raise ParseError("scenario measurements and contexts must be lists")
     if not all(isinstance(c, list) for c in contexts):
         raise ParseError("each context must be a list of labels")
-    if not all(isinstance(m, str) for m in [*measurements, *(m for c in contexts for m in c)]):
+    labels = [*measurements, *(m for c in contexts for m in c)]
+    if not all(isinstance(m, str) for m in labels):
         raise ParseError("measurement labels must be strings")
+    if any("," in m for m in labels):
+        raise ParseError("measurement labels must not contain ','")
     if isinstance(outcomes, list) and any(isinstance(o, bool) for o in outcomes):
         raise ParseError("scenario outcomes must be integers, not booleans")
+    if isinstance(outcomes, list) and len(outcomes) > MAX_OUTCOMES:
+        raise ParseError(
+            f"{len(outcomes)} outcomes exceed the {MAX_OUTCOMES} that "
+            "one-digit outcome strings can write")
     return MeasurementScenario(measurements, contexts, outcomes, ring)
 
 

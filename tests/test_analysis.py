@@ -1,5 +1,8 @@
+import json
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -39,7 +42,7 @@ from contextuality.corpus import (
     xy322_plus_model,
     xz222_model,
 )
-from contextuality import exactlp
+from contextuality import cli, exactlp
 from contextuality.scenario import enumerate_assignments
 
 
@@ -235,13 +238,18 @@ def test_signed_solution_matches_probabilistic_when_noncontextual():
 
 # ------------------------------------------- references for the bitmask engine
 
+def reference_assignments(labels, outcomes):
+    """Every assignment on sorted labels, lexicographic, through the checking constructor."""
+    return tuple(Assignment(labels, vals) for vals in product(outcomes, repeat=len(labels)))
+
+
 def reference_incidence_masks(scenario):
     """Row masks by comparing each column's restriction with each local assignment."""
-    columns = enumerate_assignments(scenario.measurements, scenario.outcomes)
+    columns = reference_assignments(scenario.measurements, scenario.outcomes)
     masks = []
     for ctx in scenario.contexts:
         restr = [g.restrict(ctx.members) for g in columns]
-        for s in enumerate_assignments(ctx.members, scenario.outcomes):
+        for s in reference_assignments(ctx.members, scenario.outcomes):
             masks.append(sum(1 << j for j, r in enumerate(restr) if r == s))
     return tuple(masks)
 
@@ -305,11 +313,83 @@ def test_bitmask_incidence_matches_restriction_reference():
         scenario = random_possibilistic(rng).scenario
         inc = build_incidence(scenario)
         assert inc.row_masks == reference_incidence_masks(scenario)
-        assert tuple(inc.columns) == enumerate_assignments(scenario.measurements, scenario.outcomes)
+        columns = reference_assignments(scenario.measurements, scenario.outcomes)
+        assert tuple(inc.columns) == columns
+        assert enumerate_assignments(scenario.measurements, scenario.outcomes) == columns
         assert inc.columns[-1] == inc.columns[len(inc.columns) - 1]
-        assert inc.row_index == tuple(
-            (ctx, s) for ctx in scenario.contexts
-            for s in enumerate_assignments(ctx.members, scenario.outcomes))
+        rows = tuple((ctx, s) for ctx in scenario.contexts
+                     for s in reference_assignments(ctx.members, scenario.outcomes))
+        assert inc.row_index == rows
+        assert len(rows) == inc.shape[0]
+
+
+def test_model_vector_matches_hashed_definition():
+    """V read in table order equals V looked up row by row, zero weights included."""
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(120):
+        scenario = random_possibilistic(rng).scenario
+        rows = {}
+        for ctx in scenario.contexts:
+            local = list(reference_assignments(ctx.members, scenario.outcomes))
+            raws = [rng.choice((0, 0, 1, 2, 5)) for _ in local]
+            raws[rng.randrange(len(raws))] += 1
+            rng.shuffle(local)  # the table order must not depend on the key order
+            rows[ctx] = ContextDistribution(
+                ctx, scenario.outcomes,
+                {s: Fraction(r, sum(raws)) for s, r in zip(local, raws)})
+        model = EmpiricalModel(scenario, rows)
+        inc = build_incidence(scenario)
+        expected = [model.rows[ctx].weights[s] for ctx, s in inc.row_index]
+        assert model_vector(model) == model_vector(model, inc) == expected
+        seen.add((len(scenario.outcomes), 0 in expected))
+    assert seen == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def count_assignments(monkeypatch):
+    """A dict whose "built" counts every Assignment made from now on.
+
+    The checking constructor counts its calls; ``enumerate_assignments``,
+    which skips the checks, counts its rows, wherever a module binds it."""
+    counter = {"built": 0}
+    init, enumerate_ = Assignment.__init__, enumerate_assignments
+
+    def counting_init(self, *args, **kwargs):
+        counter["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_enumerate(labels, outcomes):
+        rows = enumerate_(labels, outcomes)
+        counter["built"] += len(rows)
+        return rows
+
+    monkeypatch.setattr(Assignment, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("contextuality") and \
+                getattr(module, "enumerate_assignments", None) is enumerate_:
+            monkeypatch.setattr(module, "enumerate_assignments", counting_enumerate)
+    return counter
+
+
+def test_grading_builds_no_assignment(monkeypatch, capsys):
+    """The incidence, V and the section verdicts work on masks and tables;
+    a whole analyze request builds a pinned number of assignments."""
+    model = xy322_plus_model()
+    poss = possibilistic_collapse(model)
+    counter = count_assignments(monkeypatch)
+    inc = build_incidence(model.scenario)
+    assert model_vector(model) == model_vector(model, inc)
+    for m in (model, poss):
+        assert global_section_count(m) == 64
+        assert not is_strongly_contextual(m) and not is_logically_contextual(m)
+    assert counter["built"] == 0
+    assert len(model.scenario.assignments()) == counter["built"] == 64
+    # the corpus model's 64 weights, its 8 tables of 8, the ncf witness's
+    # columns and the consistent theory's global assignment
+    counter["built"] = 0
+    assert cli.main(["analyze", "--corpus", "xy322-plus", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ncf"] == "1"
+    assert counter["built"] == 137
 
 
 def test_section_verdicts_match_backtracking_reference():

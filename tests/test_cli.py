@@ -131,6 +131,20 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     assert err.strip()
 
 
+def test_comma_labels_and_eleven_outcomes_exit_3(tmp_path, capsys):
+    """Neither can be written back: row keys join labels with ',' and outcome
+    strings have one digit per member."""
+    comma = {"measurements": ["a", "b", "a,b"], "contexts": [["a", "b"], ["a,b"]]}
+    eleven = {"measurements": ["a"], "contexts": [["a"]],
+              "outcomes": list(range(11)), "ring": "none"}
+    for name, scenario in (("comma", comma), ("eleven", eleven)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"scenario": scenario, "rows": {}}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ")
+
+
 def test_usage_errors_exit_64(tmp_path, capsys):
     assert run(capsys, "analyze")[0] == 64
     path = tmp_path / "m.json"

@@ -11,6 +11,7 @@ from contextuality import (
     EmpiricalModel,
     MeasurementScenario,
     NoSignalingViolation,
+    ParseError,
     ValidationError,
     check_no_signaling,
     convex_mix,
@@ -23,6 +24,7 @@ from contextuality import (
 )
 from contextuality import PossibilisticModel
 from contextuality.corpus import chsh_model, chsh_scenario, pr_box
+from contextuality.scenario import parse_assignment
 
 
 def dist(labels, table):
@@ -116,6 +118,54 @@ def test_model_json_round_trip():
     assert model_from_dict(data) == m
     # zero weights are omitted from the serialized rows
     assert all(v != "0" for row in data["rows"].values() for v in row.values())
+
+
+def test_model_parse_keeps_parse_assignment_errors():
+    """Outcome strings are looked up in the context's table; anything else
+    gets parse_assignment's answer, error or not."""
+    data = model_to_dict(chsh_model())
+    row = data["rows"]["a1,b1"]
+    ctx = Context(["a1", "b1"])
+    for bad in ("0", "000", "0x", "12", " 0"):
+        with pytest.raises(ParseError) as expected:
+            parse_assignment(bad, ctx, (0, 1))
+        broken = json.loads(json.dumps(data))
+        broken["rows"]["a1,b1"] = {**row, bad: "0"}
+        with pytest.raises(ParseError) as got:
+            model_from_dict(broken)
+        assert str(got.value) == str(expected.value)
+    # non-ASCII digits decode as they always have
+    fullwidth = json.loads(json.dumps(data))
+    fullwidth["rows"]["a1,b1"] = {"\uff10\uff10": "1/2", "11": "1/2"}
+    assert model_from_dict(fullwidth) == chsh_model()
+
+
+def test_ten_outcomes_round_trip_and_eleven_are_refused():
+    for k in (10, 11):
+        sc = MeasurementScenario(["a"], [["a"]], range(k), "none")
+        ctx = sc.contexts[0]
+        model = EmpiricalModel(sc, {ctx: ContextDistribution(
+            ctx, sc.outcomes, {Assignment(["a"], [k - 1]): 1})})
+        poss = possibilistic_collapse(model)
+        if k == 10:
+            data = json.loads(json.dumps(model_to_dict(model)))
+            assert data["rows"] == {"a": {"9": "1"}}
+            assert model_from_dict(data) == model
+            assert possibilistic_from_dict(possibilistic_to_dict(poss)) == poss
+        else:
+            with pytest.raises(ValidationError, match="11 outcomes"):
+                model_to_dict(model)
+            with pytest.raises(ValidationError, match="11 outcomes"):
+                possibilistic_to_dict(poss)
+
+
+def test_comma_labels_are_refused_before_rows_collide():
+    """Contexts ["a", "b"] and ["a,b"] would share the row key "a,b"."""
+    data = {"scenario": {"measurements": ["a", "b", "a,b"], "outcomes": [0, 1],
+                         "contexts": [["a", "b"], ["a,b"]]},
+            "rows": {"a,b": {"00": "1"}}}
+    with pytest.raises(ParseError, match="','"):
+        model_from_dict(data)
 
 
 def test_possibilistic_json_round_trip():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -102,6 +103,47 @@ def test_enumerate_assignments_order():
     ctx = Context(["y", "x"])
     strings = [s.to_string() for s in enumerate_assignments(ctx, (0, 1))]
     assert strings == ["00", "01", "10", "11"]
+
+
+def test_enumerate_assignments_matches_the_checking_constructor():
+    for labels, outcomes in ((["y", "x"], (0, 1)), (["c", "a", "b"], (0, 1, 2)), ([], (0, 1))):
+        expected = tuple(Assignment(sorted(labels), vals)
+                         for vals in product(outcomes, repeat=len(labels)))
+        assert enumerate_assignments(labels, outcomes) == expected
+    assert enumerate_assignments(["a"], ()) == ()
+    assert enumerate_assignments([], (0, -1)) == (Assignment((), ()),)
+
+
+@pytest.mark.parametrize("outcomes, first_bad", [
+    ((0, -1), (0, -1)), ((-1, 0), (-1, -1)), ((0, 1.0), (0, 1.0)),
+    ((0, "x"), (0, "x")), (((),), ((), ()))])
+def test_enumerate_assignments_raises_at_the_first_bad_row(outcomes, first_bad):
+    """Outcomes are checked once per call; the error is the constructor's."""
+    with pytest.raises(ValidationError) as exc:
+        enumerate_assignments(["b", "a"], outcomes)
+    assert str(exc.value) == f"outcomes must be nonnegative integers: {first_bad}"
+
+
+def test_labels_may_not_contain_commas():
+    """A context's JSON key joins its members with ',', so a comma could merge two keys."""
+    with pytest.raises(ValidationError, match="','"):
+        Context(["a,b"])
+    with pytest.raises(ValidationError, match="','"):
+        MeasurementScenario(["a", "b", "a,b"], [["a", "b"]])
+    with pytest.raises(ParseError, match="','"):
+        scenario_from_dict({"measurements": ["a", "b", "a,b"],
+                            "contexts": [["a", "b"], ["a,b"]]})
+
+
+def test_outcome_count_is_bounded_by_one_digit_strings():
+    ten = MeasurementScenario(["a"], [["a"]], range(10), "none")
+    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(ten)))) == ten
+    eleven = MeasurementScenario(["a"], [["a"]], range(11), "none")
+    with pytest.raises(ValidationError, match="11 outcomes exceed the 10"):
+        scenario_to_dict(eleven)
+    with pytest.raises(ParseError, match="11 outcomes exceed the 10"):
+        scenario_from_dict({"measurements": ["a"], "contexts": [["a"]],
+                            "outcomes": list(range(11)), "ring": "none"})
 
 
 def test_json_round_trip():
