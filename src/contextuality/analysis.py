@@ -31,6 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import sub
 from typing import Hashable, Iterable, Mapping
 
 from . import exactlp
@@ -46,6 +47,7 @@ from .scenario import (
     Label,
     MeasurementScenario,
     enumerate_assignments,
+    unchecked_assignments,
 )
 
 GLOBAL_LIMIT = 1 << 20  # refuse incidence builds above this many columns
@@ -67,17 +69,10 @@ class Columns(Sequence):
         return len(self.outcomes) ** len(self.measurements)
 
     def __getitem__(self, j: int) -> Assignment:
-        n = len(self)
-        if j < 0:
-            j += n
-        if not 0 <= j < n:
-            raise IndexError("column index out of range")
-        d = len(self.outcomes)
-        digits = []
-        for _ in self.measurements:
-            j, v = divmod(j, d)
-            digits.append(v)
-        return Assignment(self.measurements, digits[::-1])
+        j = range(len(self))[j]  # negative j counts from the end; IndexError past it
+        d, m = len(self.outcomes), len(self.measurements)
+        values = tuple(j // d ** k % d for k in range(m - 1, -1, -1))
+        return unchecked_assignments(self.measurements, [values])[0]
 
 
 @dataclass(frozen=True)
@@ -129,10 +124,9 @@ def build_incidence(scenario: MeasurementScenario) -> IncidenceMatrix:
                            tuple(row_masks))
 
 
-def model_vector(model: EmpiricalModel, incidence: IncidenceMatrix | None = None) -> list[Fraction]:
+def model_vector(model: EmpiricalModel) -> list[Fraction]:
     """V in the incidence row order, which is each context's table order."""
-    scenario = incidence.scenario if incidence is not None else model.scenario
-    return [w for ctx in scenario.contexts for w in model.rows[ctx].weights.values()]
+    return [w for ctx in model.scenario.contexts for w in model.rows[ctx].weights.values()]
 
 
 @dataclass(frozen=True)
@@ -210,7 +204,7 @@ class NoncontextualFraction:
 def noncontextual_fraction(model: EmpiricalModel) -> NoncontextualFraction:
     """max |X| subject to MX <= V, X >= 0, solved exactly."""
     inc = build_incidence(model.scenario)
-    vec = model_vector(model, inc)
+    vec = model_vector(model)
     alive = _survivors(inc, vec)
     cols = _bits(alive)
     if not cols:
@@ -232,7 +226,7 @@ def _sections(model: PossibilisticModel | EmpiricalModel) -> tuple[IncidenceMatr
     """The incidence, which rows are possible, and the surviving-column mask."""
     inc = build_incidence(model.scenario)
     if isinstance(model, EmpiricalModel):
-        live = [w > 0 for w in model_vector(model, inc)]
+        live = [w > 0 for w in model_vector(model)]
     else:
         live = []
         for ctx in model.scenario.contexts:
@@ -381,31 +375,15 @@ def from_hidden_variable(hv: HiddenVariableModel) -> GlobalDistribution:
 
 
 def signed_global_solution(model: EmpiricalModel) -> dict[Assignment, Fraction] | None:
-    """Solve MX = V over the rationals with no sign constraint.
+    """Solve MX = V over the rationals with no sign constraint, or None.
 
-    Plain Gaussian elimination; no-signaling models always admit one.
+    X = X+ - X- for a vertex (X+, X-) >= 0 of [M | -M] X = V; no-signaling
+    models always admit one.
     """
     inc = build_incidence(model.scenario)
-    vec = model_vector(model, inc)
     n = len(inc.columns)
-    rows = [[Fraction((mask >> j) & 1) for j in range(n)] + [v]
-            for mask, v in zip(inc.row_masks, vec)]
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
-        for col, prow in pivots.items():
-            if row[col]:
-                f = row[col]
-                row[:] = [a - f * b for a, b in zip(row, prow)]
-        lead = next((j for j in range(n) if row[j]), None)
-        if lead is None:
-            if row[-1] != 0:
-                return None
-            continue
-        row[:] = [v / row[lead] for v in row]
-        for col, prow in pivots.items():
-            if prow[lead]:
-                f = prow[lead]
-                prow[:] = [a - f * b for a, b in zip(prow, row)]
-        pivots[lead] = row
-    solution = {inc.columns[j]: prow[-1] for j, prow in pivots.items() if prow[-1]}
-    return solution
+    rows = [[(mask >> j) & 1 for j in range(n)] for mask in inc.row_masks]
+    x = exactlp.feasible_equalities([r + [-a for a in r] for r in rows], model_vector(model))
+    if x is None:
+        return None
+    return {inc.columns[j]: v for j, v in enumerate(map(sub, x[:n], x[n:])) if v}

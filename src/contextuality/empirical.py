@@ -28,6 +28,8 @@ from .scenario import (
     scenario_to_dict,
 )
 
+_ZERO = Fraction(0)  # the weight of a cell the mapping omits, shared
+
 
 @dataclass(frozen=True)
 class ContextDistribution:
@@ -49,7 +51,7 @@ class ContextDistribution:
         full = enumerate_assignments(context.members, outs)
         table: dict[Assignment, Fraction] = {}
         for s in full:
-            w = weights.get(s, Fraction(0))
+            w = weights.get(s, _ZERO)
             if not isinstance(w, Fraction):
                 w = Fraction(w)
             if w < 0:
@@ -224,32 +226,6 @@ class PossibilisticModel:
     def support(self, context: Context | Iterable[Label]) -> frozenset[Assignment]:
         c = context if isinstance(context, Context) else Context(context)
         return self.supports[c]
-
-    def derived_support(self, labels: Iterable[Label]) -> frozenset[Assignment]:
-        """Possible assignments on an arbitrary label subset.
-
-        s is possible on U when its restriction to every context overlap
-        is the restriction of some member of that context's support.
-        Cover supports determine this; nothing extra is stored.
-        """
-        sub = tuple(sorted(set(labels)))
-        stray = set(sub) - set(self.scenario.measurements)
-        if stray:
-            raise ValidationError(f"unknown measurements {sorted(stray)}")
-        result = []
-        for s in enumerate_assignments(sub, self.scenario.outcomes):
-            ok = True
-            for c in self.scenario.contexts:
-                shared = tuple(m for m in sub if m in c.members)
-                if not shared:
-                    continue
-                allowed = {t.restrict(shared) for t in self.supports[c]}
-                if s.restrict(shared) not in allowed:
-                    ok = False
-                    break
-            if ok:
-                result.append(s)
-        return frozenset(result)
 
 
 def possibilistic_collapse(model: EmpiricalModel) -> PossibilisticModel:

@@ -38,9 +38,8 @@ one. On the small LPs of 3-qubit scans, of 4 and 8 pivots, numpy's cost
 per call makes it about 20 us per LP slower (Python 3.11.7, numpy 2.4.6,
 a 2-vCPU Xeon).
 
-``maximize`` is the one entry to the simplex. ``feasible_equalities`` is
-phase one posed as a ``maximize`` LP; the package no longer calls it, and
-it stays because the benchmark's tracer wraps it by name.
+``maximize`` is the one entry to the simplex. ``feasible_equalities``,
+phase one posed as a ``maximize`` LP, finds ``analysis.signed_global_solution``.
 """
 
 from __future__ import annotations
@@ -177,5 +176,6 @@ def feasible_equalities(lhs: Sequence[Sequence], rhs: Sequence) -> list[Fraction
     flip = [Fraction(b) < 0 for b in rhs]
     rows = [[-Fraction(v) for v in row] if f else row for f, row in zip(flip, lhs)]
     rhs = [abs(Fraction(b)) for b in rhs]
-    value, x = maximize([sum(map(Fraction, col)) for col in zip(*rows)], rows, rhs)
+    value, x = maximize([sum(v if type(v) is int else Fraction(v) for v in col)
+                         for col in zip(*rows)], rows, rhs)
     return x if value == sum(rhs) else None

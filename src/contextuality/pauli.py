@@ -82,9 +82,6 @@ class PauliOperator:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
 
-    # sort on (phase, x, z), not the qubit count, but keep dataclass order
-    # machinery by placing identical num_qubits first in practice
-
     @classmethod
     def from_string(cls, text: str) -> "PauliOperator":
         body = text.strip()
@@ -566,31 +563,16 @@ def _leaves(s: PauliSet) -> dict[int, DeterminingTree]:
     return {_word(op): DeterminingTree(op) for op in s.members}
 
 
-def _replay_dsets(
-    s: PauliSet,
-    elements: list[int],
-    deriv: dict[int, tuple[int, int] | None],
-) -> dict[int, int]:
-    """Determining set of each replay tree, as a bitmask over s.members."""
+def _replay_dsets(s: PauliSet, deriv: dict[int, tuple[int, int] | None]) -> dict[int, int]:
+    """Determining set of each replay tree, as a bitmask over s.members, in
+    one pass: ``deriv`` holds each derived word after both of its parents."""
     index = {_word(op): i for i, op in enumerate(s.members)}
     dsets: dict[int, int] = {}
-
-    def mask_of(x: int) -> int:
-        if x in dsets:
-            return dsets[x]
+    for x, parents in deriv.items():
         if x in index:
-            m = 1 << index[x]
+            dsets[x] = 1 << index[x]
         else:
-            parents = deriv[x]
-            if parents is None:
-                m = 0
-            else:
-                m = mask_of(parents[0]) ^ mask_of(parents[1])
-        dsets[x] = m
-        return m
-
-    for w in elements:
-        mask_of(w)
+            dsets[x] = dsets[parents[0]] ^ dsets[parents[1]] if parents else 0
     return dsets
 
 
@@ -638,7 +620,7 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
     """
     n = s.num_qubits
     elements, deriv = _closure_with_derivations(s)
-    dsets = _replay_dsets(s, elements, deriv)
+    dsets = _replay_dsets(s, deriv)
 
     generators = _kl_generators(elements, dsets, n, len(s.members))
 

@@ -216,8 +216,8 @@ def _born_row(re: Sequence, im: Sequence, context: Context,
             for outs, v in zip(product((0, 1), repeat=len(ordered)), w)}
 
 
-def _sorted_context(ops: Sequence[PauliOperator],
-                    labels: Sequence[Label] | None) -> tuple[Context, list]:
+def _sorted_context(ops: Sequence, labels: Sequence[Label] | None) -> tuple[Context, list]:
+    """The context of ``labels``, by default the strings of ``ops``, and ``ops`` in its order."""
     labs = [str(op) for op in ops] if labels is None else list(labels)
     if len(labs) != len(ops) or len(set(labs)) != len(labs):
         raise ValidationError("labels must be distinct and match the observables")
@@ -262,12 +262,8 @@ def born_distribution_equatorial(psi: StateVector,
         raise ValidationError("one equatorial measurement per party")
     if any(p < 0 or p >= psi.num_qubits for p in parties):
         raise ValidationError("party index outside the state")
-    labs = [f"m{m.party}" for m in measurements] if labels is None else list(labels)
-    if len(labs) != len(measurements) or len(set(labs)) != len(labs):
-        raise ValidationError("labels must be distinct and match the measurements")
-    pairs = sorted(zip(labs, measurements))
-    context = Context(labs)
-    ordered = [p[1] for p in pairs]
+    context, ordered = _sorted_context(
+        measurements, [f"m{p}" for p in parties] if labels is None else labels)
 
     def project(vec: np.ndarray, m: EquatorialMeasurement, o: int) -> np.ndarray:
         s = 1 - 2 * o

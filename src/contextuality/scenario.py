@@ -198,13 +198,20 @@ def enumerate_assignments(labels: Iterable[Label], outcomes: Iterable[Outcome]) 
     if labs and not all(isinstance(v, int) and v >= 0 for v in outs):
         for vals in rows:
             Assignment(labs, vals)
+    return tuple(unchecked_assignments(labs, rows))
+
+
+def unchecked_assignments(labels: tuple[Label, ...],
+                          rows: Iterable[tuple[Outcome, ...]]) -> list[Assignment]:
+    """One assignment per row of outcomes on sorted, distinct ``labels``,
+    built without the constructor's checks, which the caller vouches for."""
     out = []
     for vals in rows:
         s = object.__new__(Assignment)
-        object.__setattr__(s, "labels", labs)
+        object.__setattr__(s, "labels", labels)
         object.__setattr__(s, "values", vals)
         out.append(s)
-    return tuple(out)
+    return out
 
 
 def validate_scenario(scenario: MeasurementScenario) -> list[ScenarioViolation]:

@@ -25,6 +25,7 @@ from contextuality import (
     global_section_count,
     global_sections,
     is_logically_contextual,
+    is_no_signaling,
     is_strongly_contextual,
     logically_contextual_at,
     model_vector,
@@ -67,7 +68,7 @@ def test_incidence_shape_and_entries():
     sc = chsh_scenario()
     inc = build_incidence(sc)
     assert inc.shape == (16, 16)
-    v = model_vector(chsh_model(), inc)
+    v = model_vector(chsh_model())
     assert sum(v) == 4  # four contexts, each row block sums to one
     for mask in inc.row_masks:
         hits = mask.bit_count()
@@ -135,7 +136,7 @@ def test_ncf_lp_leaves_out_dead_rows(monkeypatch):
         res = noncontextual_fraction(model)
         assert len(seen) == 1 and all(any(row) for row in seen[0])
         inc = build_incidence(model.scenario)
-        vec = model_vector(model, inc)
+        vec = model_vector(model)
         cols = [j for j in range(len(inc.columns))
                 if all(v or not mask >> j & 1 for mask, v in zip(inc.row_masks, vec))]
         full = [[mask >> j & 1 for j in cols] for mask in inc.row_masks]
@@ -234,6 +235,57 @@ def test_signed_solution_matches_probabilistic_when_noncontextual():
     assert find_global_distribution(m) is not None
     signed = signed_global_solution(m)
     assert signed is not None
+
+
+def reference_signed_solution(model):
+    """MX = V by Fraction Gauss-Jordan elimination, or None when inconsistent."""
+    inc = build_incidence(model.scenario)
+    n = len(inc.columns)
+    rows = [[Fraction((mask >> j) & 1) for j in range(n)] + [v]
+            for mask, v in zip(inc.row_masks, model_vector(model))]
+    pivots = {}
+    for row in rows:
+        for col, prow in pivots.items():
+            if row[col]:
+                f = row[col]
+                row[:] = [a - f * b for a, b in zip(row, prow)]
+        lead = next((j for j in range(n) if row[j]), None)
+        if lead is None:
+            if row[-1] != 0:
+                return None
+            continue
+        row[:] = [v / row[lead] for v in row]
+        for col, prow in pivots.items():
+            if prow[lead]:
+                f = prow[lead]
+                prow[:] = [a - f * b for a, b in zip(prow, row)]
+        pivots[lead] = row
+    return {inc.columns[j]: prow[-1] for j, prow in pivots.items() if prow[-1]}
+
+
+def test_signed_solution_against_gauss_jordan_reference():
+    """The LP's X+ - X- exists exactly when Gauss-Jordan finds a solution,
+    which is exactly when the model is no-signalling, and solves MX = V."""
+    rng = random.Random(73)
+    chsh, box = chsh_model(), pr_box()
+    models = [convex_mix(chsh, box, Fraction(k, 8)) for k in range(9)]
+    models += [uniform_model(random_possibilistic(rng)) for _ in range(200)]
+    kinds = {True: 0, False: 0}
+    for model in models:
+        signed = signed_global_solution(model)
+        signalling = not is_no_signaling(model)
+        assert (signed is None) == (reference_signed_solution(model) is None) == signalling
+        kinds[signalling] += 1
+        if signed is None:
+            continue
+        assert all(type(v) is Fraction and v for v in signed.values())
+        # column j holds the base-d digits of j, the last measurement least significant
+        d, labels = len(model.scenario.outcomes), model.scenario.measurements
+        assert all(g.labels == labels for g in signed)
+        x = {sum(a * d ** k for k, a in enumerate(g.values[::-1])): v for g, v in signed.items()}
+        for mask, v in zip(build_incidence(model.scenario).row_masks, model_vector(model)):
+            assert sum(xj for j, xj in x.items() if mask >> j & 1) == v
+    assert min(kinds.values()) >= 50
 
 
 # ------------------------------------------- references for the bitmask engine
@@ -341,7 +393,7 @@ def test_model_vector_matches_hashed_definition():
         model = EmpiricalModel(scenario, rows)
         inc = build_incidence(scenario)
         expected = [model.rows[ctx].weights[s] for ctx, s in inc.row_index]
-        assert model_vector(model) == model_vector(model, inc) == expected
+        assert model_vector(model) == expected
         seen.add((len(scenario.outcomes), 0 in expected))
     assert seen == {(2, False), (2, True), (3, False), (3, True)}
 
@@ -377,19 +429,20 @@ def test_grading_builds_no_assignment(monkeypatch, capsys):
     model = xy322_plus_model()
     poss = possibilistic_collapse(model)
     counter = count_assignments(monkeypatch)
-    inc = build_incidence(model.scenario)
-    assert model_vector(model) == model_vector(model, inc)
+    assert build_incidence(model.scenario).shape == (64, 64)
+    assert len(model_vector(model)) == 64
     for m in (model, poss):
         assert global_section_count(m) == 64
         assert not is_strongly_contextual(m) and not is_logically_contextual(m)
     assert counter["built"] == 0
     assert len(model.scenario.assignments()) == counter["built"] == 64
-    # the corpus model's 64 weights, its 8 tables of 8, the ncf witness's
-    # columns and the consistent theory's global assignment
+    # the corpus model's 64 weights, its 8 tables of 8 and the consistent
+    # theory's global assignment; the ncf witness's 8 columns are decoded by
+    # unchecked_assignments, which neither counted path reaches
     counter["built"] = 0
     assert cli.main(["analyze", "--corpus", "xy322-plus", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["ncf"] == "1"
-    assert counter["built"] == 137
+    assert counter["built"] == 129
 
 
 def test_section_verdicts_match_backtracking_reference():

@@ -95,13 +95,11 @@ def test_convex_mix():
         convex_mix(a, b, Fraction(3, 2))
 
 
-def test_possibilistic_collapse_and_derived_support():
+def test_possibilistic_collapse():
     p = possibilistic_collapse(pr_box())
     ctx = p.scenario.contexts[0]
     assert p.support(ctx) == {Assignment(ctx.members, [0, 0]),
                               Assignment(ctx.members, [1, 1])}
-    derived = p.derived_support(["a1"])
-    assert derived == {Assignment(["a1"], [0]), Assignment(["a1"], [1])}
 
 
 def test_possibilistic_rejects_empty_support():

@@ -240,7 +240,7 @@ def test_maximize_matches_fraction_tableau_on_bell_lps():
     lhs = [[(mask >> j) & 1 for j in range(n)] for mask in inc.row_masks]
     for _ in range(10):
         model = convex_mix(chsh, box, Fraction(rng.randrange(0, 9), 8))
-        vec = model_vector(model, inc)
+        vec = model_vector(model)
         assert maximize([1] * n, lhs, vec) == reference_maximize([1] * n, lhs, vec)
 
 
@@ -262,7 +262,7 @@ def test_compact_tableau_matches_fraction_tableau_on_xy_lps():
         rng = random.Random(seed)
         amps = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(8)]
         model = realize_model_exact(amps, scenario)
-        vec = model_vector(model, inc)
+        vec = model_vector(model)
         assert maximize([1] * 64, lhs, vec) == reference_maximize([1] * 64, lhs, vec)
         # phase one sees the positive rows and the surviving columns
         cols = _bits(_survivors(inc, vec))
@@ -314,7 +314,7 @@ def _phase_one_reference(model, inc):
     as x over those columns or None."""
     from contextuality.analysis import _bits, _survivors, model_vector
 
-    vec = model_vector(model, inc)
+    vec = model_vector(model)
     cols = _bits(_survivors(inc, vec))
     rows = [(mask, v) for mask, v in zip(inc.row_masks, vec) if v]
     if not cols:  # every column died, and each context has a positive row
@@ -405,7 +405,7 @@ def test_four_party_xy_lp_pinned():
     weights = [result.witness.get(col, Fraction(0)) for col in inc.columns]
     assert all(type(w) is Fraction and w >= 0 for w in weights)
     assert sum(weights) == result.ncf
-    for mask, v in zip(inc.row_masks, model_vector(model, inc)):
+    for mask, v in zip(inc.row_masks, model_vector(model)):
         assert sum(w for j, w in enumerate(weights) if mask >> j & 1) <= v
 
 

@@ -555,6 +555,27 @@ def reference_kl_generators(elements, dsets, n):
     return out
 
 
+def reference_replay_dsets(s, elements, deriv):
+    """Determining set of each replay tree by a recursive walk of the derivations."""
+    index = {_word(op): i for i, op in enumerate(s.members)}
+    dsets = {}
+
+    def mask_of(x):
+        if x in dsets:
+            return dsets[x]
+        if x in index:
+            m = 1 << index[x]
+        else:
+            parents = deriv[x]
+            m = 0 if parents is None else mask_of(parents[0]) ^ mask_of(parents[1])
+        dsets[x] = m
+        return m
+
+    for w in elements:
+        mask_of(w)
+    return dsets
+
+
 def kernel_test_sets():
     """Seeded sets on 1-5 qubits with signed and identity-like members, sets
     on 31, 33 and 70 qubits, whose words pass 62 bits, and a closure of 72
@@ -589,7 +610,8 @@ def test_pair_kernel_against_scalar_loops(monkeypatch):
         words, _ = _vertices(s)
         assert _neighbors(words, n) == reference_neighbors(words, n)
         assert _neighbors(ref_elements, n) == reference_neighbors(ref_elements, n)
-        dsets = _replay_dsets(s, ref_elements, ref_deriv)
+        dsets = reference_replay_dsets(s, ref_elements, ref_deriv)
+        assert _replay_dsets(s, ref_deriv) == dsets
         first = {}
         for g, pair in reference_kl_generators(ref_elements, dsets, n):
             first.setdefault(g, pair)
@@ -699,6 +721,25 @@ def test_closure_avn_rule_against_closure_reference():
     assert any(s.num_qubits == 1 for s in signed)
     assert any(op.negate() in s for s in signed for op in s if not op.is_identity_like())
     assert any(op.is_identity_like() for s in signed for op in s)
+
+
+def test_four_closure_avn_verdicts_agree():
+    """The witness search, the 4-subset scan, the commutation rule and the
+    closure's theory give one verdict on seeded random signed sets."""
+    rng = random.Random(83)
+    verdicts = []
+    for _ in range(80):
+        n = rng.randint(2, 4)
+        ops = {random_operator(rng, n, hermitian=True) for _ in range(rng.randint(3, 8))}
+        if rng.random() < 0.3:
+            ops.add(next(iter(ops)).negate())
+        s = PauliSet(n, ops)
+        avn = kl_witness(s) is not None
+        assert kl_pattern_test(s).avn == avn, s.labels()
+        assert is_state_independent_avn(s, in_closure=True) == avn, s.labels()
+        assert (not is_consistent(state_independent_theory(partial_closure(s))).consistent) == avn
+        verdicts.append(avn)
+    assert 20 <= sum(verdicts) <= 60
 
 
 # ------------------------------------------------- reference for the theory
