@@ -83,7 +83,6 @@ from .realize import (
     StateVector,
     basis_state,
     bell_phi_plus,
-    born_distribution,
     born_distribution_equatorial,
     born_distribution_exact,
     canonical_state,

@@ -268,13 +268,9 @@ def _float_model_payload(model) -> dict:
     residuals = {}
     for c in model.scenario.contexts:
         dist = model.rows[c]
+        rows[c.key()] = {s.to_string(): str(w) for s, w in sorted(dist.weights.items()) if w}
         if isinstance(dist, FloatDistribution):
-            rows[c.key()] = {s.to_string(): repr(w)
-                             for s, w in sorted(dist.weights.items()) if w}
             residuals[c.key()] = dist.residual
-        else:
-            rows[c.key()] = {s.to_string(): str(w)
-                             for s, w in sorted(dist.weights.items()) if w}
     return {"scenario": scenario_to_dict(model.scenario), "exact": False,
             "rows": rows, "residuals": residuals}
 
@@ -466,7 +462,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("realize", help="measure a scenario on a state")
     p.add_argument("--state", default="bell_phi_plus",
-                   help="canonical name (bell_phi_plus, ghzN, plusN, basisN) or JSON file")
+                   help="canonical name (bell_phi_plus, ghzN, plusN, basisN) or JSON "
+                        "file of exact amplitudes, any nonzero vector, read as its ray")
     p.add_argument("--scenario", help="JSON scenario file")
     p.add_argument("--corpus", help="reuse a bundled entry's scenario")
     p.add_argument("--equatorial",

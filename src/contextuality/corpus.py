@@ -182,6 +182,17 @@ def xz222_model() -> EmpiricalModel:
     })
 
 
+def hardy_model() -> EmpiricalModel:
+    """Hardy's state |00> + |01> + |10>: only IX = XI = 1 extends to no global section."""
+    sixth, twelfth = F(1, 6), F(1, 12)
+    return _model(xz222_scenario(), {
+        ("IX", "XI"): {(0, 0): F(3, 4), (0, 1): twelfth, (1, 0): twelfth, (1, 1): twelfth},
+        ("IX", "ZI"): {(0, 0): F(2, 3), (0, 1): sixth, (1, 1): sixth},
+        ("IZ", "XI"): {(0, 0): F(2, 3), (1, 0): sixth, (1, 1): sixth},
+        ("IZ", "ZI"): {(0, 0): F(1, 3), (0, 1): F(1, 3), (1, 0): F(1, 3)},
+    })
+
+
 # ---------------------------------------------------------------- Mermin star
 
 MERMIN_STAR_LABELS = ("XII", "IXI", "IIX", "YII", "IYI", "IIY")
@@ -226,6 +237,8 @@ REGISTRY: dict[str, CorpusEntry] = {
                     "flat model on the X/Y three-party cover", xy322_plus_model),
         CorpusEntry("xz222", "model",
                     "Bell-state outcomes on the local X/Z cover", xz222_model),
+        CorpusEntry("hardy", "model",
+                    "Hardy's state on the local X/Z cover", hardy_model),
         CorpusEntry("mermin-star", "pauli-set",
                     "single-qubit X and Y observables on three qubits", mermin_star_set),
     )

@@ -1,29 +1,28 @@
 """Realizing empirical models from quantum states by the Born rule.
 
-Dense statevectors on up to 10 qubits. A context of k commuting Hermitian
-Paulis is measured through its 2^k subset products P_T, the products of
-the members in each subset T; eigenvalue +1 records outcome 0 and -1
-records outcome 1, so that
+A state is a nonzero vector of Gaussian-rational amplitudes on up to 10
+qubits and stands for its ray: ints, floats (each the dyadic rational it
+stores) and decimal or "a/b" strings are taken exactly, never rounded or
+normalized. A context of k commuting Hermitian Paulis is measured through
+its 2^k subset products P_T, the products of the members in each subset
+T; eigenvalue +1 records outcome 0 and -1 records outcome 1, so that
 
     p(s) = 2^-k sum_T (-1)^(s.T) <psi|P_T|psi> / <psi|psi>.
 
-One engine evaluates this sum for every Pauli path. The exact path takes
-rational real and imaginary parts, not necessarily normalized, scales them
-to Gaussian integers and builds Fractions only for the final weights;
-random rational states keep the contextual-fraction bridge exactly
-decidable. Context eigenstates come from the same projector
-2^-k sum_T (-1)^(s.T) P_T applied to basis vectors.
+One engine evaluates this Walsh-Hadamard transform on amplitudes scaled to
+Gaussian integers, where every expectation is an exact integer, and builds
+Fractions only for the final weights: every Pauli row is exact. Context
+eigenstates come from the same projector 2^-k sum_T (-1)^(s.T) P_T
+applied to basis vectors.
 
-Floats enter only with the unit ``StateVector``, whose Pauli rows run
-through the same engine in floating point, and with equatorial observables
-cos(a) X + sin(a) Y, measured by sequential eigenprojections. Their rows
-are snapped to the nearest rational with denominator at most 2^16. If any
-weight sits further than 1e-12 from such a rational, or the snapped
-weights do not sum to exactly 1, exactification is refused and a
-float-tagged distribution is returned instead; float-tagged rows never
-enter the exact analysis stack. Best approximations with such
-denominators are usually within 2^-32 of a float, so a looser residual
-would snap almost any row.
+Floats enter only with equatorial observables cos(a) X + sin(a) Y on
+distinct parties, whose subset products expand into X/Y Pauli words with
+cos/sin weights. These rows are snapped to the nearest rational with
+denominator at most 2^16. If any weight sits further than 1e-12 from such
+a rational, or the snapped weights do not sum to exactly 1, the row is
+float-tagged instead and never enters the exact analysis stack. Best
+approximations with such denominators are usually within 2^-32 of a
+float, so a looser residual would snap almost any row.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .empirical import ContextDistribution, EmpiricalModel
 from .errors import (
@@ -51,57 +49,65 @@ from .scenario import Assignment, Context, Label, MeasurementScenario
 QUBIT_LIMIT = 10
 MAX_DENOMINATOR = 1 << 16
 RESIDUAL_TOLERANCE = 1e-12
-NORM_TOLERANCE = 1e-9
+
+RationalAmplitude = tuple[Fraction, Fraction]
 
 
 def _check_qubits(num_qubits: int) -> None:
-    # before any 2^n allocation: numpy refuses 2^64 with a bare ValueError
+    # before any list of 2^n amplitudes is built
     if num_qubits < 1 or num_qubits > QUBIT_LIMIT:
         raise SizeLimitError(f"statevectors support 1..{QUBIT_LIMIT} qubits")
 
 
-class StateVector:
-    """A unit vector on n qubits, qubit 0 as the most significant index bit."""
+def _amplitude(value: object) -> RationalAmplitude:
+    parts = (value.real, value.imag) if isinstance(value, complex) else value
+    parts = parts if isinstance(parts, (tuple, list)) else (parts, 0)
+    if len(parts) != 2 or not all(isinstance(q, (int, float, Fraction)) for q in parts):
+        raise ValidationError(f"amplitude {value!r} is not a number or an (re, im) pair")
+    if any(isinstance(q, float) and not math.isfinite(q) for q in parts):
+        raise ValidationError("state amplitudes must be finite")
+    return Fraction(parts[0]), Fraction(parts[1])
 
-    def __init__(self, num_qubits: int, amplitudes: Sequence[complex]):
+
+class StateVector:
+    """A nonzero vector on n qubits, standing for its ray.
+
+    Qubit 0 is the most significant index bit. Each amplitude is an int,
+    float, complex or Fraction, or an (re, im) pair of reals, and is kept
+    exactly as a (Fraction, Fraction) pair; nothing is normalized.
+    """
+
+    def __init__(self, num_qubits: int, amplitudes: Sequence):
         _check_qubits(num_qubits)
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 1 << num_qubits:
-            raise ValidationError(
-                f"{amps.size} amplitudes for {num_qubits} qubits")
-        if not np.isfinite(amps).all():
-            raise ValidationError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise ValidationError(f"state norm {norm} is not 1")
+        amps = tuple(_amplitude(a) for a in amplitudes)
+        if len(amps) != 1 << num_qubits:
+            raise ValidationError(f"{len(amps)} amplitudes for {num_qubits} qubits")
+        if not any(re or im for re, im in amps):
+            raise ValidationError("zero state")
         self.num_qubits = num_qubits
-        self.amplitudes = amps / norm
-        self.amplitudes.setflags(write=False)
+        self.amplitudes: tuple[RationalAmplitude, ...] = amps
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
 def ghz(num_qubits: int) -> StateVector:
+    """|0...0> + |1...1>."""
     _check_qubits(num_qubits)
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[0] = amps[-1] = 1 / math.sqrt(2)
-    return StateVector(num_qubits, amps)
+    return StateVector(num_qubits, [1] + [0] * ((1 << num_qubits) - 2) + [1])
 
 
 def plus(num_qubits: int) -> StateVector:
+    """The all-ones vector, |+> on every qubit."""
     _check_qubits(num_qubits)
-    dim = 1 << num_qubits
-    return StateVector(num_qubits, np.full(dim, 1 / math.sqrt(dim), dtype=complex))
+    return StateVector(num_qubits, [1] * (1 << num_qubits))
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     _check_qubits(num_qubits)
     if index < 0 or index >= 1 << num_qubits:
         raise ValidationError(f"basis index {index} outside {num_qubits} qubits")
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector(num_qubits, [int(i == index) for i in range(1 << num_qubits)])
 
 
 def bell_phi_plus() -> StateVector:
@@ -180,8 +186,8 @@ def _subset_products(ops: Sequence[PauliOperator], num_qubits: int) -> list[Paul
     return prods
 
 
-def _expectation(op: PauliOperator, re: Sequence, im: Sequence):
-    """<psi|op|psi> over parallel real and imaginary parts, ints or floats.
+def _expectation(op: PauliOperator, re: Sequence[int], im: Sequence[int]) -> int:
+    """<psi|op|psi> over parallel real and imaginary Gaussian-integer parts.
 
     op|i> = i^phase (-1)^|i & z| |i ^ x> in index masks; the value is real
     for Hermitian op, so only the real part of the phased sum is formed.
@@ -197,23 +203,30 @@ def _expectation(op: PauliOperator, re: Sequence, im: Sequence):
     return -total if op.phase in (1, 2) else total
 
 
-def _born_row(re: Sequence, im: Sequence, context: Context,
-              ordered: Sequence[PauliOperator], ratio) -> dict[Assignment, object]:
-    """p(s) = 2^-k sum_T (-1)^(s.T) <P_T> / <psi|psi> for every outcome s.
+def _gaussian_integers(vec: Sequence[RationalAmplitude]) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts scaled by one common denominator."""
+    lcd = math.lcm(*(q.denominator for pair in vec for q in pair))
+    return [int(a * lcd) for a, _ in vec], [int(b * lcd) for _, b in vec]
 
-    The sum over T is a Walsh-Hadamard transform of the subset-product
-    expectations; ``ratio`` makes the final division, exact or float.
-    """
-    # reversed, so that the first member is the most significant outcome bit
-    w = [_expectation(p, re, im)
-         for p in _subset_products(ordered[::-1], ordered[0].num_qubits)]
-    scale = len(w) * w[0]  # P_T for the empty T is the identity
+
+def _walsh(context: Context, w: list) -> zip:
+    """(s, sum_T (-1)^(s.T) w[T]) per joint outcome s, the first member its top bit."""
     h = 1
     while h < len(w):
         w = [w[i] + w[i ^ h] if not i & h else w[i ^ h] - w[i] for i in range(len(w))]
         h <<= 1
-    return {Assignment(context.members, outs): ratio(v, scale)
-            for outs, v in zip(product((0, 1), repeat=len(ordered)), w)}
+    return zip((Assignment(context.members, outs)
+                for outs in product((0, 1), repeat=len(context.members))), w)
+
+
+def _born_row(re: Sequence[int], im: Sequence[int], context: Context,
+              ordered: Sequence[PauliOperator]) -> dict[Assignment, Fraction]:
+    """p(s) = 2^-k sum_T (-1)^(s.T) <P_T> / <psi|psi> for every outcome s."""
+    # reversed, so that bit j of T selects the member k-1-j, as _walsh reads T
+    w = [_expectation(p, re, im)
+         for p in _subset_products(ordered[::-1], ordered[0].num_qubits)]
+    scale = len(w) * w[0]  # P_T for the empty T is the identity
+    return {s: Fraction(v, scale) for s, v in _walsh(context, w)}
 
 
 def _sorted_context(ops: Sequence, labels: Sequence[Label] | None) -> tuple[Context, list]:
@@ -237,95 +250,6 @@ def _exactify(context: Context, outcomes, float_weights: dict[Assignment, float]
     return ContextDistribution(context, outcomes, snapped)
 
 
-def born_distribution(psi: StateVector, ops: Sequence[PauliOperator],
-                      labels: Sequence[Label] | None = None):
-    """Joint eigenprojection probabilities for a commuting Pauli context.
-
-    Returns an exact ContextDistribution, or a FloatDistribution when the
-    probabilities are not close to small rationals.
-    """
-    _check_context(ops, psi.num_qubits)
-    context, ordered = _sorted_context(ops, labels)
-    amps = psi.amplitudes
-    # rounding can leave an impossible outcome slightly below zero
-    weights = _born_row(amps.real.tolist(), amps.imag.tolist(), context, ordered,
-                        lambda v, scale: max(v / scale, 0.0))
-    return _exactify(context, (0, 1), weights)
-
-
-def born_distribution_equatorial(psi: StateVector,
-                                 measurements: Sequence[EquatorialMeasurement],
-                                 labels: Sequence[Label] | None = None):
-    """Joint distribution of one equatorial observable per listed party."""
-    parties = [m.party for m in measurements]
-    if len(set(parties)) != len(parties):
-        raise ValidationError("one equatorial measurement per party")
-    if any(p < 0 or p >= psi.num_qubits for p in parties):
-        raise ValidationError("party index outside the state")
-    context, ordered = _sorted_context(
-        measurements, [f"m{p}" for p in parties] if labels is None else labels)
-
-    def project(vec: np.ndarray, m: EquatorialMeasurement, o: int) -> np.ndarray:
-        s = 1 - 2 * o
-        proj = 0.5 * np.array([
-            [1, s * np.exp(-1j * m.angle)],
-            [s * np.exp(1j * m.angle), 1],
-        ])
-        shaped = vec.reshape([2] * psi.num_qubits)
-        moved = np.tensordot(proj, shaped, axes=([1], [m.party]))
-        return np.moveaxis(moved, 0, m.party).reshape(-1)
-
-    branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), psi.amplitudes)]
-    for m in ordered:
-        branches = [(outs + (o,), project(vec, m, o))
-                    for outs, vec in branches for o in (0, 1)]
-    weights = {Assignment(context.members, outs): float(np.vdot(vec, vec).real)
-               for outs, vec in branches}
-    return _exactify(context, (0, 1), weights)
-
-
-def realize_model(psi: StateVector, scenario: MeasurementScenario,
-                  measurements: Mapping[Label, PauliOperator | EquatorialMeasurement]
-                  | None = None):
-    """Measure every context of a scenario on one state.
-
-    Labels are interpreted as Pauli strings unless a measurement mapping
-    is given. Returns an EmpiricalModel when all rows exactify, otherwise
-    a FloatEmpiricalModel.
-    """
-    if scenario.outcomes != (0, 1):
-        raise ValidationError("realization targets two-outcome scenarios")
-
-    def interpret(label: Label):
-        if measurements is not None:
-            try:
-                return measurements[label]
-            except KeyError:
-                raise ValidationError(f"no measurement assigned to label {label!r}") from None
-        return PauliOperator.from_string(label)
-
-    rows: dict[Context, ContextDistribution | FloatDistribution] = {}
-    all_exact = True
-    for ctx in scenario.contexts:
-        ms = [interpret(m) for m in ctx.members]
-        if all(isinstance(m, PauliOperator) for m in ms):
-            row = born_distribution(psi, ms, labels=ctx.members)
-        elif all(isinstance(m, EquatorialMeasurement) for m in ms):
-            row = born_distribution_equatorial(psi, ms, labels=ctx.members)
-        else:
-            raise ValidationError(f"context {ctx} mixes Pauli and equatorial measurements")
-        rows[ctx] = row
-        all_exact = all_exact and not isinstance(row, FloatDistribution)
-    if all_exact:
-        return EmpiricalModel(scenario, rows)
-    return FloatEmpiricalModel(scenario, rows)
-
-
-# ------------------------------------------------------ exact rational path
-
-RationalAmplitude = tuple[Fraction, Fraction]
-
-
 def born_distribution_exact(amplitudes: Sequence[RationalAmplitude],
                             ops: Sequence[PauliOperator],
                             labels: Sequence[Label] | None = None) -> ContextDistribution:
@@ -340,12 +264,8 @@ def born_distribution_exact(amplitudes: Sequence[RationalAmplitude],
         raise ValidationError("zero state")
     _check_context(ops, n)
     context, ordered = _sorted_context(ops, labels)
-    # one common denominator turns the amplitudes into Gaussian integers
-    lcd = math.lcm(*(q.denominator for pair in vec for q in pair))
-    re = [int(a * lcd) for a, _ in vec]
-    im = [int(b * lcd) for _, b in vec]
-    weights = _born_row(re, im, context, ordered, Fraction)
-    return ContextDistribution(context, (0, 1), weights)
+    re, im = _gaussian_integers(vec)
+    return ContextDistribution(context, (0, 1), _born_row(re, im, context, ordered))
 
 
 def realize_model_exact(amplitudes: Sequence[RationalAmplitude],
@@ -355,6 +275,67 @@ def realize_model_exact(amplitudes: Sequence[RationalAmplitude],
     for ctx in scenario.contexts:
         ops = [PauliOperator.from_string(m) for m in ctx.members]
         rows[ctx] = born_distribution_exact(amplitudes, ops, labels=ctx.members)
+    return EmpiricalModel(scenario, rows)
+
+
+def born_distribution_equatorial(psi: StateVector,
+                                 measurements: Sequence[EquatorialMeasurement],
+                                 labels: Sequence[Label] | None = None):
+    """Joint distribution of one equatorial observable per listed party.
+
+    The product of the members in T is the sum, over each way of reading
+    every member as X or Y, of a cos/sin weight times an X/Y Pauli word.
+    """
+    parties = [m.party for m in measurements]
+    if len(set(parties)) != len(parties):
+        raise ValidationError("one equatorial measurement per party")
+    if any(p < 0 or p >= psi.num_qubits for p in parties):
+        raise ValidationError("party index outside the state")
+    context, ordered = _sorted_context(
+        measurements, [f"m{p}" for p in parties] if labels is None else labels)
+    re, im = _gaussian_integers(psi.amplitudes)
+    norm = sum(a * a + b * b for a, b in zip(re, im))
+    # the weighted words of each P_T, bit j of T selecting the member k-1-j
+    terms = [[(1.0, "I" * psi.num_qubits)]]
+    for m in ordered[::-1]:
+        pick = ((math.cos(m.angle), "X"), (math.sin(m.angle), "Y"))
+        terms += [[(c * f, word[:m.party] + letter + word[m.party + 1:])
+                   for c, word in words for f, letter in pick] for words in terms]
+    w = [sum(c * (_expectation(PauliOperator.from_string(word), re, im) / norm)
+             for c, word in words) for words in terms]
+    # rounding can leave an impossible outcome slightly below zero
+    weights = {s: max(v / len(w), 0.0) for s, v in _walsh(context, w)}
+    return _exactify(context, (0, 1), weights)
+
+
+def realize_model(psi: StateVector, scenario: MeasurementScenario,
+                  measurements: Mapping[Label, PauliOperator | EquatorialMeasurement]
+                  | None = None):
+    """Measure every context of a scenario on one state.
+
+    Labels are interpreted as Pauli strings unless a measurement mapping
+    is given. Pauli rows are exact; returns an EmpiricalModel when every
+    equatorial row exactifies too, otherwise a FloatEmpiricalModel.
+    """
+    if scenario.outcomes != (0, 1):
+        raise ValidationError("realization targets two-outcome scenarios")
+    if measurements is None:
+        measurements = {m: PauliOperator.from_string(m) for m in scenario.measurements}
+    rows: dict[Context, ContextDistribution | FloatDistribution] = {}
+    for ctx in scenario.contexts:
+        try:
+            ms = [measurements[m] for m in ctx.members]
+        except KeyError as exc:
+            raise ValidationError(f"no measurement assigned to label {exc.args[0]!r}") from None
+        if all(isinstance(m, PauliOperator) for m in ms):
+            _check_context(ms, psi.num_qubits)  # names the word that misses the state's qubits
+            rows[ctx] = born_distribution_exact(psi.amplitudes, ms, labels=ctx.members)
+        elif all(isinstance(m, EquatorialMeasurement) for m in ms):
+            rows[ctx] = born_distribution_equatorial(psi, ms, labels=ctx.members)
+        else:
+            raise ValidationError(f"context {ctx} mixes Pauli and equatorial measurements")
+    if any(isinstance(row, FloatDistribution) for row in rows.values()):
+        return FloatEmpiricalModel(scenario, rows)
     return EmpiricalModel(scenario, rows)
 
 
@@ -394,15 +375,28 @@ def context_eigenstate(ops: Sequence[PauliOperator],
 
 # ----------------------------------------------------------------- JSON form
 
-def _parse_component(value: object) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+def _parse_component(value: object) -> Fraction | int | float:
+    """An amplitude part: a number, or a decimal or "a/b" string, read exactly."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ParseError(f"malformed amplitude component {value!r}")
+    if not isinstance(value, str):
+        return value
+    if "/" not in value:
         try:
-            return float(Fraction(value)) if "/" in value else float(value)
-        except (ValueError, ZeroDivisionError):
+            dec = Decimal(value)
+        except ArithmeticError:
             raise ParseError(f"malformed amplitude component {value!r}") from None
-    raise ParseError(f"malformed amplitude component {value!r}")
+        if not dec.is_finite():
+            raise ValidationError("state amplitudes must be finite")
+        if not dec:
+            return Fraction(0)
+        # Fraction builds 10**exponent: keep the exponent within the float range
+        if not 0 < abs(float(dec)) < math.inf:
+            raise ValidationError(f"amplitude component {value!r} is outside the float range")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed amplitude component {value!r}") from None
 
 
 def state_from_dict(data: object) -> StateVector:
@@ -416,22 +410,20 @@ def state_from_dict(data: object) -> StateVector:
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError("each amplitude must be a [re, im] pair")
-        amps.append(complex(_parse_component(item[0]), _parse_component(item[1])))
+        amps.append((_parse_component(item[0]), _parse_component(item[1])))
     return StateVector(n, amps)
 
 
 def state_to_dict(psi: StateVector) -> dict:
-    return {
-        "n": psi.num_qubits,
-        "amplitudes": [[repr(float(a.real)), repr(float(a.imag))]
-                       for a in psi.amplitudes],
-    }
+    return {"n": psi.num_qubits,
+            "amplitudes": [[str(re), str(im)] for re, im in psi.amplitudes]}
 
 
 def load_state(path: str) -> StateVector:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            # JSON numbers with a fraction or exponent stay text, read exactly
+            data = json.load(fh, parse_float=str)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     return state_from_dict(data)
@@ -441,26 +433,23 @@ _ANGLE_PATTERN = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
 
 def parse_angle(text: object) -> float:
-    """Angles as decimals or multiples of pi: ``"0"``, ``"pi/3"``, ``"2*pi/3"``."""
-    if isinstance(text, bool):
+    """Finite angles as decimals or multiples of pi: ``"0"``, ``"pi/3"``, ``"2*pi/3"``."""
+    if isinstance(text, bool) or not isinstance(text, (int, float, str)):
         raise ParseError(f"malformed angle {text!r}")
-    if isinstance(text, (int, float)):
-        return float(text)
-    if not isinstance(text, str):
-        raise ParseError(f"malformed angle {text!r}")
-    body = text.strip().replace(" ", "")
-    m = _ANGLE_PATTERN.match(body)
-    if m:
-        coef_text = m.group(1)
-        coef = 1.0 if coef_text in ("", "+") else -1.0 if coef_text == "-" else float(coef_text)
-        denom = float(m.group(2)) if m.group(2) else 1.0
-        if denom == 0:
-            raise ParseError(f"malformed angle {text!r}")
-        return coef * math.pi / denom
     try:
-        return float(body)
-    except ValueError:
+        body = str(text).strip().replace(" ", "")
+        m = _ANGLE_PATTERN.match(body)
+        if m:
+            coef_text = m.group(1)
+            coef = 1.0 if coef_text in ("", "+") else -1.0 if coef_text == "-" else float(coef_text)
+            angle = coef * math.pi / float(m.group(2) or 1)
+        else:
+            angle = float(body)
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"malformed angle {text!r}") from None
+    if not math.isfinite(angle):
+        raise ParseError(f"angle {text!r} is not finite")
+    return angle
 
 
 def equatorial_from_dict(data: object) -> dict[Label, EquatorialMeasurement]:

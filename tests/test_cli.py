@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +242,54 @@ def test_realize_non_finite_state_exits_2(tmp_path, capsys, amplitude):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("angle", ['"nan"', '"inf"', '"-inf"', '"1e999"', "1e999"],
+                         ids=["nan", "inf", "-inf", "1e999", "number-1e999"])
+def test_realize_non_finite_equatorial_angle_exits_3(tmp_path, capsys, angle):
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text('{"XI": {"party": 0, "angle": %s}, "IX": {"party": 1, "angle": 0}}'
+                       % angle)
+    code, out, err = run(capsys, "realize", "--state", "ghz2",
+                         "--corpus", "xz222", "--equatorial", str(eq_path))
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("amplitude", ['"1e999999999"', "1e999999999",
+                                       '"-1e-999999999"', "1e-999999999"],
+                         ids=["1e999999999", "number-1e999999999",
+                              "-1e-999999999", "number-1e-999999999"])
+def test_realize_huge_decimal_exponent_exits_2(tmp_path, capsys, amplitude):
+    # the exponent is refused before 10**999999999 is built
+    state_path = tmp_path / "state.json"
+    state_path.write_text('{"n": 2, "amplitudes": [[%s, 0], [1, 0], [0, 0], [0, 0]]}'
+                          % amplitude)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "realize", "--state", str(state_path),
+                         "--corpus", "xz222")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_realize_decimal_state_is_exact(tmp_path, capsys):
+    # a rounding snap once reported the single row 000 | 1 here
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"n": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [1e-7, 0]]}))
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(
+        {"measurements": ["ZI", "IZ", "ZZ"], "contexts": [["ZI", "IZ", "ZZ"]]}))
+    argv = ["realize", "--state", str(state_path), "--scenario", str(scenario_path)]
+    payload = run_json(capsys, *argv)
+    assert payload["exact"] is True
+    assert payload["rows"] == {"IZ,ZI,ZZ": {"000": "100000000000000/100000000000001",
+                                            "110": "1/100000000000001"}}
+    code, out, err = run(capsys, *argv)
+    assert "exact: true" in out.splitlines()
+    assert "IZ,ZI,ZZ | 110 | 1/100000000000001" in out.splitlines()
 
 
 @pytest.mark.parametrize("name", ["ghz64", "plus64", "ghz11", "plus11"])

@@ -1,4 +1,4 @@
-"""Quantum realization of empirical tables, exact and float paths."""
+"""Quantum realization of empirical tables: exact Pauli rows, snapped equatorial rows."""
 
 import math
 import random
@@ -23,7 +23,6 @@ from contextuality import (
     ValidationError,
     basis_state,
     bell_phi_plus,
-    born_distribution,
     born_distribution_equatorial,
     born_distribution_exact,
     canonical_state,
@@ -41,12 +40,15 @@ from contextuality import (
     state_to_dict,
 )
 from contextuality.corpus import (
+    hardy_model,
     mermin_square_bell_model,
     mermin_square_scenario,
     xy322_ghz_model,
     xy322_plus_model,
     xy322_scenario,
+    xz222_scenario,
 )
+from contextuality.realize import _exactify
 
 
 def test_ghz_pauli_realization_matches_table():
@@ -96,22 +98,27 @@ def test_exact_path_agrees_with_float_path():
 
 
 def test_probability_far_from_small_rationals_is_float_tagged():
-    # 1/3 + 1e-8 has no fraction with denominator <= 65536 within 1e-9
+    # 1/3 + 1e-8 has no fraction with denominator <= 65536 within 1e-9, so the
+    # equatorial row is float-tagged; the Pauli row of the same float amplitudes
+    # is exact, since a float is the dyadic rational it stores
     p = Fraction(1, 3) + Fraction(1, 10 ** 8)
-    psi = StateVector(1, [math.sqrt(p), math.sqrt(1 - p)])
-    row = born_distribution(psi, [PauliOperator.from_string("Z")])
-    assert isinstance(row, FloatDistribution)
-    assert row.residual > 1e-9
-    assert abs(sum(row.weights.values()) - 1.0) < 1e-9
-
-    scenario = MeasurementScenario(["Z"], [["Z"]])
-    model = realize_model(psi, scenario)
-    assert isinstance(model, FloatEmpiricalModel)
+    a, b = math.sqrt(p), math.sqrt(1 - p)
+    model = realize_model(StateVector(1, [a, b]), MeasurementScenario(["Z"], [["Z"]]))
+    assert isinstance(model, EmpiricalModel)
+    (row,) = model.rows.values()
+    norm = Fraction(a) ** 2 + Fraction(b) ** 2
+    assert row.weights[Assignment(("Z",), (0,))] == Fraction(a) ** 2 / norm
+    assert row.weights[Assignment(("Z",), (1,))] == Fraction(b) ** 2 / norm
 
     angle = math.acos(2 * float(p) - 1)
     eq_row = born_distribution_equatorial(
         plus(1), [EquatorialMeasurement(0, angle)], labels=["m"])
     assert isinstance(eq_row, FloatDistribution)
+    assert eq_row.residual > 1e-9
+    assert abs(sum(eq_row.weights.values()) - 1.0) < 1e-9
+    model = realize_model(plus(1), MeasurementScenario(["m"], [["m"]]),
+                          measurements={"m": EquatorialMeasurement(0, angle)})
+    assert isinstance(model, FloatEmpiricalModel)
 
 
 def test_dyadic_equatorial_rows_are_exact():
@@ -144,16 +151,16 @@ def test_random_angle_rows_are_float_tagged():
 
 
 def test_canonical_state_names():
-    assert np.allclose(canonical_state("bell_phi_plus").amplitudes,
-                       bell_phi_plus().amplitudes)
+    one, zero = (1, 0), (0, 0)
+    assert canonical_state("bell_phi_plus").amplitudes == bell_phi_plus().amplitudes
+    assert bell_phi_plus().amplitudes == (one, zero, zero, one)
     g = canonical_state("ghz3")
     assert g.num_qubits == 3
-    assert np.allclose(g.amplitudes[[0, 7]], 1 / math.sqrt(2))
-    p = canonical_state("plus2")
-    assert np.allclose(p.amplitudes, 0.5)
-    b = canonical_state("basis2")
-    assert b.amplitudes[0] == 1
-    assert np.allclose(b.amplitudes[1:], 0)
+    assert g.amplitudes == (one,) + (zero,) * 6 + (one,)
+    assert all(type(q) is Fraction for pair in g.amplitudes for q in pair)
+    assert canonical_state("plus2").amplitudes == (one,) * 4
+    assert canonical_state("basis2").amplitudes == (one,) + (zero,) * 3
+    assert basis_state(2, index=3).amplitudes == (zero,) * 3 + (one,)
     with pytest.raises(ParseError):
         canonical_state("w3")
     with pytest.raises(ParseError):
@@ -167,22 +174,31 @@ def test_state_vector_validation():
         StateVector(0, [1.0])
     with pytest.raises(ValidationError):
         StateVector(2, [1.0, 0.0])
-    with pytest.raises(ValidationError):
-        StateVector(1, [1.0, 1.0])
+    for bad in ([0, 0j], [math.nan, 1], [1, math.inf], [complex(1, math.inf), 0],
+                ["1", 0], [(1, 2, 3), 0], [None, 1]):
+        with pytest.raises(ValidationError):
+            StateVector(1, bad)
     with pytest.raises(ValidationError):
         basis_state(2, index=7)
+    # any nonzero vector stands for its ray, and is kept exactly
+    psi = StateVector(1, [0.1, 2 - 3j])
+    assert psi.amplitudes == ((Fraction(0.1), 0), (2, -3))
+    psi = StateVector(1, [(Fraction(1, 3), 1), 5])
+    assert psi.amplitudes == ((Fraction(1, 3), 1), (5, 0))
 
 
 def test_born_distribution_validation():
     psi = bell_phi_plus()
     with pytest.raises(ValidationError):
-        born_distribution(psi, [PauliOperator.from_string("X")])
+        born_distribution_exact(psi.amplitudes, [PauliOperator.from_string("X")])
+    with pytest.raises(ValidationError):
+        realize_model(psi, MeasurementScenario(["X"], [["X"]]))
     with pytest.raises(ValidationError):
         # iX is not Hermitian
-        born_distribution(psi, [PauliOperator(2, 1, 0b01, 0)])
+        born_distribution_exact(psi.amplitudes, [PauliOperator(2, 1, 0b01, 0)])
     with pytest.raises(NonCommutingContextError):
-        born_distribution(psi, [PauliOperator.from_string(t)
-                                for t in ("XI", "ZI")])
+        born_distribution_exact(psi.amplitudes, [PauliOperator.from_string(t)
+                                                 for t in ("XI", "ZI")])
 
 
 def test_realize_model_validation():
@@ -264,18 +280,28 @@ def test_parse_angle_forms():
 
 
 def test_state_json_round_trip():
-    for psi in (ghz(3), bell_phi_plus()):
+    for psi in (ghz(3), bell_phi_plus(), StateVector(1, [0.1, Fraction(-2, 3) + 1e-7j])):
         back = state_from_dict(state_to_dict(psi))
         assert back.num_qubits == psi.num_qubits
-        assert np.allclose(back.amplitudes, psi.amplitudes)
+        assert back.amplitudes == psi.amplitudes
     fractional = state_from_dict(
         {"n": 1, "amplitudes": [["3/5", "0"], ["0", "4/5"]]})
-    assert fractional.amplitudes[1] == pytest.approx(0.8j)
+    assert fractional.amplitudes == ((Fraction(3, 5), 0), (0, Fraction(4, 5)))
+    # decimal strings are read exactly; a Python float is its dyadic value
+    decimal = state_from_dict(
+        {"n": 1, "amplitudes": [["0.1", "-2.5e-3"], [1e-7, "0e-999999999"]]})
+    assert decimal.amplitudes == ((Fraction(1, 10), Fraction(-1, 400)), (Fraction(1e-7), 0))
     for bad in ({"n": 1}, {"n": "1", "amplitudes": []},
                 {"n": 1, "amplitudes": [[0.6, 0.0], [0.8]]},
-                {"n": 1, "amplitudes": [["x", 0], [0, 0]]}, []):
+                {"n": 1, "amplitudes": [["x", 0], [0, 0]]},
+                {"n": 1, "amplitudes": [["1/0", 0], [0, 0]]}, []):
         with pytest.raises(ParseError):
             state_from_dict(bad)
+    for bad in ("nan", "-inf", "1e999999999", "1e-999999999", math.nan):
+        with pytest.raises(ValidationError):
+            state_from_dict({"n": 1, "amplitudes": [[bad, 0], [1, 0]]})
+    with pytest.raises(ValidationError):
+        state_from_dict({"n": 1, "amplitudes": [["0", 0], [0, "-0.0"]]})
 
 
 def test_equatorial_json_round_trip(tmp_path):
@@ -297,7 +323,11 @@ def test_load_state_file(tmp_path):
     path = tmp_path / "state.json"
     import json
     path.write_text(json.dumps(state_to_dict(ghz(2))))
-    assert np.allclose(load_state(str(path)).amplitudes, ghz(2).amplitudes)
+    assert load_state(str(path)).amplitudes == ghz(2).amplitudes
+    # JSON numbers are read as the decimals they print, not as floats
+    path.write_text('{"n": 1, "amplitudes": [[0.1, 0], [1e-7, -3]]}')
+    assert load_state(str(path)).amplitudes == ((Fraction(1, 10), 0),
+                                                (Fraction(1, 10 ** 7), -3))
 
 
 # ---------------------------------------------------------------- reference
@@ -421,7 +451,7 @@ def test_context_eigenstate_matches_branch_loop():
     assert empty > 0
 
 
-def test_float_born_matches_exact_on_integer_amplitudes():
+def test_named_states_realize_as_integer_vectors():
     named = {"bell_phi_plus": [(1, 0), (0, 0), (0, 0), (1, 0)]}
     for n in (1, 2, 3):
         dim = 1 << n
@@ -431,36 +461,94 @@ def test_float_born_matches_exact_on_integer_amplitudes():
     rng = random.Random(64)
     for name, amps in named.items():
         psi = canonical_state(name)
+        assert psi.amplitudes == tuple(amps)
         for _ in range(25):
             ops = _random_context(rng, psi.num_qubits)
-            assert born_distribution(psi, ops) == born_distribution_exact(amps, ops)
+            labels = [str(op) for op in ops]
+            model = realize_model(psi, MeasurementScenario(labels, [labels]))
+            assert isinstance(model, EmpiricalModel)
+            assert list(model.rows.values()) == [born_distribution_exact(amps, ops)]
 
 
-def test_float_tagged_rows_match_branch_loop_within_rounding():
-    # the branch loop, run exactly on the float amplitudes, is the oracle;
-    # rounding may not push an impossible outcome below zero
-    rng = random.Random(65)
-    tagged = 0
-    for _ in range(400):
+def _decimal(rng):
+    """A decimal string, zero a fifth of the time, sometimes with an exponent."""
+    if rng.random() < 0.2:
+        return rng.choice(("0", "-0.0", "0e5"))
+    text = f"{rng.uniform(-3, 3):.{rng.randrange(1, 9)}f}"
+    return text + f"e{rng.randrange(-9, 4)}" if rng.random() < 0.3 else text
+
+
+def test_decimal_states_realize_exactly():
+    # no snapping: the Pauli rows of a decimal state are those of its Fractions
+    rng = random.Random(67)
+    scenarios = {1: [MeasurementScenario(["X", "Y", "Z"], [["X"], ["Y"], ["Z"]])],
+                 2: [mermin_square_scenario(), xz222_scenario()],
+                 3: [xy322_scenario()]}
+    checked = 0
+    while checked < 240:
         n = rng.randrange(1, 4)
-        amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) if rng.random() < 0.6 else 0
-                for _ in range(1 << n)]
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-        if not norm:
+        data = {"n": n, "amplitudes": [[_decimal(rng), _decimal(rng)] for _ in range(1 << n)]}
+        exact = [(Fraction(re), Fraction(im)) for re, im in data["amplitudes"]]
+        if not any(re or im for re, im in exact):
             continue
-        psi = StateVector(n, [a / norm for a in amps])
-        ops = _random_context(rng, n)
-        if rng.random() < 0.5:  # diagonal words: impossible outcomes on zero amplitudes
-            words = {"".join(rng.choice("IZ") for _ in range(n)) for _ in range(3)}
-            ops = [PauliOperator.from_string(w) for w in sorted(words) if "Z" in w] or ops
-        row = born_distribution(psi, ops)
-        if not isinstance(row, FloatDistribution):
-            continue
-        tagged += 1
-        exact = [(Fraction(a.real), Fraction(a.imag)) for a in psi.amplitudes]
-        want = reference_born_exact(exact, ops, [str(op) for op in ops])
+        labels = [str(op) for op in _random_context(rng, n)]
+        scenario = rng.choice(scenarios[n] + [MeasurementScenario(labels, [labels])])
+        model = realize_model(state_from_dict(data), scenario)
+        assert isinstance(model, EmpiricalModel)
+        assert model == realize_model_exact(exact, scenario)
+        checked += 1
+
+
+def test_hardy_state_realizes_the_corpus_table():
+    # an unnormalized ray, as given
+    model = realize_model(StateVector(2, [1, 1, 1, 0]), xz222_scenario())
+    assert model == hardy_model()
+    assert model == realize_model(StateVector(2, [Fraction(1, 3)] * 3 + [0]), xz222_scenario())
+
+
+# The tensordot projection that computed equatorial rows before they moved
+# onto the subset-product engine, kept as the reference.
+
+def reference_equatorial(amplitudes, measurements, labels):
+    n = len(amplitudes).bit_length() - 1
+    vec = np.array([complex(re, im) for re, im in amplitudes])
+    vec = vec / np.linalg.norm(vec)
+
+    def project(vec, m, o):
+        s = 1 - 2 * o
+        proj = 0.5 * np.array([[1, s * np.exp(-1j * m.angle)],
+                               [s * np.exp(1j * m.angle), 1]])
+        moved = np.tensordot(proj, vec.reshape([2] * n), axes=([1], [m.party]))
+        return np.moveaxis(moved, 0, m.party).reshape(-1)
+
+    branches = [((), vec)]
+    for m in [m for _, m in sorted(zip(labels, measurements))]:
+        branches = [(outs + (o,), project(v, m, o)) for outs, v in branches for o in (0, 1)]
+    members = tuple(sorted(labels))
+    return {Assignment(members, outs): float(np.vdot(v, v).real) for outs, v in branches}
+
+
+def test_equatorial_rows_match_tensordot_reference():
+    rng = random.Random(65)
+    both_exact = tagged = 0
+    for _ in range(320):
+        n = rng.randrange(1, 4)
+        psi = StateVector(n, _random_rational_amplitudes(rng, n))
+        parties = rng.sample(range(n), rng.randrange(1, n + 1))
+        # kpi/m angles give exact rows on some states, random ones float rows
+        angles = [rng.choice((0, 1, 2, -1, 3)) * math.pi / rng.choice((1, 2, 3, 4))
+                  if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi) for _ in parties]
+        ms = [EquatorialMeasurement(p, a) for p, a in zip(parties, angles)]
+        labels = [f"m{p}" for p in parties]
+        row = born_distribution_equatorial(psi, ms, labels=labels)
+        want = reference_equatorial(psi.amplitudes, ms, labels)
         assert row.weights.keys() == want.keys()
+        ref_row = _exactify(row.context, (0, 1), want)
+        if not isinstance(row, FloatDistribution) and not isinstance(ref_row, FloatDistribution):
+            both_exact += 1
+            assert row == ref_row
         for s, w in row.weights.items():
             assert w >= 0
-            assert abs(w - float(want[s])) < 1e-12
-    assert tagged > 30
+            assert abs(float(w) - want[s]) < 1e-12
+        tagged += isinstance(row, FloatDistribution)
+    assert both_exact > 40 and tagged > 150
