@@ -91,7 +91,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"{path}: {exc}") from None
 
 

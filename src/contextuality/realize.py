@@ -11,7 +11,8 @@ T; eigenvalue +1 records outcome 0 and -1 records outcome 1, so that
 
 One engine evaluates this Walsh-Hadamard transform on amplitudes scaled to
 Gaussian integers, where every expectation is an exact integer, and builds
-Fractions only for the final weights: every Pauli row is exact. Context
+Fractions only for the final weights: every Pauli row is exact. A state is
+scaled once, and every context of a scenario reads the same integers. Context
 eigenstates come from the same projector 2^-k sum_T (-1)^(s.T) P_T
 applied to basis vectors.
 
@@ -203,8 +204,9 @@ def _expectation(op: PauliOperator, re: Sequence[int], im: Sequence[int]) -> int
     return -total if op.phase in (1, 2) else total
 
 
-def _gaussian_integers(vec: Sequence[RationalAmplitude]) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts scaled by one common denominator."""
+def _gaussian_integers(amplitudes: Sequence) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts, read as Fractions, scaled by one common denominator."""
+    vec = [(Fraction(re), Fraction(im)) for re, im in amplitudes]
     lcd = math.lcm(*(q.denominator for pair in vec for q in pair))
     return [int(a * lcd) for a, _ in vec], [int(b * lcd) for _, b in vec]
 
@@ -250,32 +252,36 @@ def _exactify(context: Context, outcomes, float_weights: dict[Assignment, float]
     return ContextDistribution(context, outcomes, snapped)
 
 
+def _pauli_row(re: Sequence[int], im: Sequence[int], ops: Sequence[PauliOperator],
+               labels: Sequence[Label] | None) -> ContextDistribution:
+    """The Born row of one context on a state already scaled to Gaussian integers."""
+    if not ops:
+        raise ValidationError("empty context")
+    n = ops[0].num_qubits
+    if len(re) != 1 << n:
+        raise ValidationError(f"{len(re)} amplitudes for {n} qubits")
+    if not any(re) and not any(im):
+        raise ValidationError("zero state")
+    _check_context(ops, n)
+    context, ordered = _sorted_context(ops, labels)
+    return ContextDistribution(context, (0, 1), _born_row(re, im, context, ordered))
+
+
 def born_distribution_exact(amplitudes: Sequence[RationalAmplitude],
                             ops: Sequence[PauliOperator],
                             labels: Sequence[Label] | None = None) -> ContextDistribution:
     """All-rational Born rule; amplitudes need not be normalized."""
-    if not ops:
-        raise ValidationError("empty context")
-    n = ops[0].num_qubits
-    vec = [(Fraction(re), Fraction(im)) for re, im in amplitudes]
-    if len(vec) != 1 << n:
-        raise ValidationError(f"{len(vec)} amplitudes for {n} qubits")
-    if not any(re or im for re, im in vec):
-        raise ValidationError("zero state")
-    _check_context(ops, n)
-    context, ordered = _sorted_context(ops, labels)
-    re, im = _gaussian_integers(vec)
-    return ContextDistribution(context, (0, 1), _born_row(re, im, context, ordered))
+    return _pauli_row(*_gaussian_integers(amplitudes), ops, labels)
 
 
 def realize_model_exact(amplitudes: Sequence[RationalAmplitude],
                         scenario: MeasurementScenario) -> EmpiricalModel:
     """Exact realization of a Pauli-labeled scenario from rational amplitudes."""
-    rows = {}
-    for ctx in scenario.contexts:
-        ops = [PauliOperator.from_string(m) for m in ctx.members]
-        rows[ctx] = born_distribution_exact(amplitudes, ops, labels=ctx.members)
-    return EmpiricalModel(scenario, rows)
+    re, im = _gaussian_integers(amplitudes)
+    return EmpiricalModel(scenario, {
+        ctx: _pauli_row(re, im, [PauliOperator.from_string(m) for m in ctx.members],
+                        ctx.members)
+        for ctx in scenario.contexts})
 
 
 def born_distribution_equatorial(psi: StateVector,
@@ -321,6 +327,7 @@ def realize_model(psi: StateVector, scenario: MeasurementScenario,
         raise ValidationError("realization targets two-outcome scenarios")
     if measurements is None:
         measurements = {m: PauliOperator.from_string(m) for m in scenario.measurements}
+    re, im = _gaussian_integers(psi.amplitudes)
     rows: dict[Context, ContextDistribution | FloatDistribution] = {}
     for ctx in scenario.contexts:
         try:
@@ -329,7 +336,7 @@ def realize_model(psi: StateVector, scenario: MeasurementScenario,
             raise ValidationError(f"no measurement assigned to label {exc.args[0]!r}") from None
         if all(isinstance(m, PauliOperator) for m in ms):
             _check_context(ms, psi.num_qubits)  # names the word that misses the state's qubits
-            rows[ctx] = born_distribution_exact(psi.amplitudes, ms, labels=ctx.members)
+            rows[ctx] = _pauli_row(re, im, ms, ctx.members)
         elif all(isinstance(m, EquatorialMeasurement) for m in ms):
             rows[ctx] = born_distribution_equatorial(psi, ms, labels=ctx.members)
         else:
@@ -424,7 +431,7 @@ def load_state(path: str) -> StateVector:
         try:
             # JSON numbers with a fraction or exponent stay text, read exactly
             data = json.load(fh, parse_float=str)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ParseError(f"{path}: {exc}") from None
     return state_from_dict(data)
 
@@ -471,6 +478,6 @@ def load_equatorial(path: str) -> dict[Label, EquatorialMeasurement]:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ParseError(f"{path}: {exc}") from None
     return equatorial_from_dict(data)

@@ -4,6 +4,17 @@ The paper claims Kochen-Specker contextuality becomes a state-independent
 all-versus-nothing argument once a set is partially closed. A set that an
 exact rational probe state makes contextual, but whose closure is not AvN,
 is a counterexample. Floats only seed the Bell-facet probes.
+
+A cyclic cover is probed until the first state whose exactly realized
+model has no global distribution. On a closure-AvN set the Bell-facet
+eigenvectors are tried first: the report keeps only whether a witness
+exists there, which no order changes. A facet vector is what witnesses
+on a 4-cycle of 2-member contexts, where a joint eigenstate of one
+context reaches CHSH value 1, below the noncontextual bound 2. On every
+other set the witness is printed as the counterexample's state, so the
+probes keep their order: context eigenstates, facet vectors, random
+states. Either way the random draws are made before any probe is tested,
+so every order consumes the same random stream.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -53,15 +64,15 @@ def _random_rational_state(dim: int, rng: random.Random):
 
 
 def _cycle_probes(ops):
-    """Rationalized top eigenvectors of Bell-facet operators.
+    """Rationalized top eigenvectors of Bell-facet operators, built lazily.
 
     Every induced 4-cycle a1-b1-a2-b2 in the commutation graph carries the
     facet operator a1 b1 + a1 b2 + a2 b1 - a2 b2, whose top eigenvector is
     the natural candidate for a contextual realization. The float
     eigenvector only seeds the probe; the contextuality test downstream is
-    exact on the snapped rational state.
+    exact on the snapped rational state. A generator, so that no matrix is
+    built or diagonalized past the first witness; it draws no random number.
     """
-    probes = []
     for quad in combinations(ops, 4):
         for a1, a2, b1, b2 in ((quad[0], quad[1], quad[2], quad[3]),
                                (quad[0], quad[2], quad[1], quad[3]),
@@ -81,13 +92,19 @@ def _cycle_probes(ops):
                             Fraction(float(c.imag)).limit_denominator(64))
                            for c in top]
                 if any(re or im for re, im in snapped):
-                    probes.append(snapped)
-    return probes
+                    yield snapped
 
 
-def _probe_states(pset, scenario, num_random: int, rng: random.Random):
-    """Context eigenstates, Bell-facet eigenvectors, then random vectors."""
-    probes = []
+def _probe_states(pset, scenario, num_random: int, rng: random.Random,
+                  facets_first: bool = False):
+    """Context eigenstates, Bell-facet eigenvectors, then random vectors.
+
+    ``facets_first`` puts the Bell-facet eigenvectors first, for closure-AvN
+    sets, whose report shows only whether a witness exists. Every random
+    draw is made here, so later sets see the same stream wherever a witness
+    turns up; the facet vectors are built only as far as the caller reads.
+    """
+    eigenstates = []
     for ctx in scenario.contexts:
         ops = [PauliOperator.from_string(m) for m in ctx.members]
         vec = context_eigenstate(ops)
@@ -96,11 +113,13 @@ def _probe_states(pset, scenario, num_random: int, rng: random.Random):
                 break
             vec = context_eigenstate(ops, [rng.randrange(2) for _ in ops])
         if vec is not None:
-            probes.append(vec)
-    probes.extend(_cycle_probes(pset.members))
+            eigenstates.append(vec)
     dim = 1 << pset.num_qubits
-    probes.extend(_random_rational_state(dim, rng) for _ in range(num_random))
-    return probes
+    randoms = [_random_rational_state(dim, rng) for _ in range(num_random)]
+    facets = _cycle_probes(pset.members)
+    if facets_first:
+        return chain(facets, eigenstates, randoms)
+    return chain(eigenstates, facets, randoms)
 
 
 def conjecture_scan(num_qubits: int, set_size: int, *, samples: int, states: int,
@@ -144,7 +163,7 @@ def conjecture_scan(num_qubits: int, set_size: int, *, samples: int, states: int
         avn = is_state_independent_avn(pset, in_closure=True)
         scenario = scenario_of(pset)
         cyclic = gyo_core(scenario.contexts)  # acyclic: noncontextual for every state
-        probes = _probe_states(pset, scenario, states, rng) if cyclic else ()
+        probes = _probe_states(pset, scenario, states, rng, avn) if cyclic else ()
         witness = next((vec for vec in probes if find_global_distribution(
             realize_model_exact(vec, scenario)) is None), None)
         found.append(([str(p) for p in pset.members], avn, witness))

@@ -301,6 +301,38 @@ def test_realize_named_state_beyond_qubit_limit_exits_2(capsys, name):
     assert out == ""
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Python's 4300-digit limit on int(str), set for the test and restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("loader", ["state", "equatorial", "validate", "analyze"])
+def test_integer_past_digit_limit_exits_3(tmp_path, capsys, int_digit_limit, loader):
+    # json.load raises a plain ValueError there, not JSONDecodeError
+    huge = "1" * (int_digit_limit + 701)
+    path = tmp_path / "input.json"
+    if loader == "state":
+        path.write_text('{"n": 2, "amplitudes": [[%s, 0], [1, 0], [0, 0], [0, 0]]}' % huge)
+        argv = ["realize", "--state", str(path), "--corpus", "xz222"]
+    elif loader == "equatorial":
+        path.write_text('{"XI": {"party": 0, "angle": %s}}' % huge)
+        argv = ["realize", "--state", "ghz2", "--corpus", "xz222", "--equatorial", str(path)]
+    else:
+        path.write_text('{"measurements": ["a"], "contexts": [["a"]], "outcomes": [0, %s]}'
+                        % huge)
+        argv = [loader, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 def _model_with_boolean_weights():
     data = model_to_dict(chsh_model())
     data["rows"][next(iter(data["rows"]))] = {"00": True, "11": False}
