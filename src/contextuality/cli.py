@@ -326,7 +326,9 @@ def cmd_si_avn(args) -> int:
     verdict = is_state_independent_avn(base, in_closure=args.in_closure)
     payload = {"paulis": list(base.labels()), "in_closure": args.in_closure,
                "si_avn": verdict}
-    _emit(payload, args)
+    table = ["paulis: " + " ".join(payload["paulis"]),
+             f"in_closure: {_scalar(args.in_closure)}", f"si_avn: {_scalar(verdict)}"]
+    _emit(payload, args, table=table)
     return EXIT_OK
 
 

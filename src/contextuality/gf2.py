@@ -15,10 +15,12 @@ def rref(rows: list[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form.
 
     Returns (reduced nonzero rows sorted by pivot, pivot positions).
-    Each pivot coordinate appears in exactly one row.
+    Each pivot coordinate appears in exactly one row. Rows that arrive
+    reduced and in falling-pivot order cost one pass: no stored row can
+    hold a lower pivot, so nothing is scanned back.
     """
     basis: dict[int, int] = {}  # pivot bit -> row
-    pivots = 0
+    pivots = held = 0  # held: the OR of every row stored
     for r in rows:
         # stored rows are fully reduced, so r's pivot bits name the rows to add
         hits = r & pivots
@@ -28,11 +30,13 @@ def rref(rows: list[int]) -> tuple[list[int], list[int]]:
             hits ^= bit
         if r:
             bit = r & -r
-            for q, row in basis.items():
-                if row & bit:
-                    basis[q] = row ^ r
+            if held & bit:  # some stored row holds the new pivot: clear it there
+                for q, row in basis.items():
+                    if row & bit:
+                        basis[q] = row ^ r
             basis[bit] = r
             pivots |= bit
+            held |= r
     order = sorted(basis)
     return [basis[b] for b in order], [b.bit_length() - 1 for b in order]
 

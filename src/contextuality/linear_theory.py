@@ -76,9 +76,23 @@ def _equation(context: Context, row: int) -> LinearEquation:
     return LinearEquation(context, (row >> i & 1 for i in range(k)), row >> k)
 
 
+def _render_rows(context: Context, rows: Iterable[int]) -> list[str]:
+    """Each row over the context as ``s(a) + s(b) = c``: the terms are built
+    once per context, and each row's set bits pick its terms."""
+    terms = [f"s({m})" for m in context.members]
+    k = len(terms)
+    out = []
+    for row in rows:
+        flagged, bits = [], row & (1 << k) - 1
+        while bits:
+            flagged.append(terms[(bits & -bits).bit_length() - 1])
+            bits &= bits - 1
+        out.append(f"{' + '.join(flagged) or '0'} = {row >> k}")
+    return out
+
+
 def _render(context: Context, row: int) -> str:
-    terms = [f"s({m})" for i, m in enumerate(context.members) if row >> i & 1]
-    return f"{' + '.join(terms) or '0'} = {row >> len(context)}"
+    return _render_rows(context, (row,))[0]
 
 
 def satisfies(assignment: Assignment, equation: LinearEquation) -> bool:
@@ -138,7 +152,11 @@ class LinearTheory:
 
     def render(self) -> list[str]:
         """What ``render`` gives for each of ``equations``, read off the rows."""
-        return [_render(ctx, row) for ctx, row in self._entries()]
+        out = []
+        for ctx, rows in zip(self.scenario.contexts, self.rows):
+            if rows:
+                out += _render_rows(ctx, rows)
+        return out
 
     def __len__(self) -> int:
         return sum(map(len, self.rows))
@@ -215,9 +233,15 @@ def is_consistent(theory: LinearTheory) -> ConsistencyResult:
     index = {m: i for i, m in enumerate(labels)}
     system = gf2.AffineBasis(len(labels))
     for ctx, rows in zip(theory.scenario.contexts, theory.rows):
-        bits = [1 << index[m] for m in ctx.members]
+        if not rows:
+            continue
+        k, bits = len(ctx), [1 << index[m] for m in ctx.members]
         for row in rows:
-            system.add(sum(b for i, b in enumerate(bits) if row >> i & 1), row >> len(ctx))
+            coef, flagged = 0, row & (1 << k) - 1
+            while flagged:
+                coef |= bits[(flagged & -flagged).bit_length() - 1]
+                flagged &= flagged - 1
+            system.add(coef, row >> k)
             if system.conflict is not None:
                 cert = tuple(_equation(c, r) for i, (c, r) in enumerate(theory._entries())
                              if system.conflict >> i & 1)

@@ -20,6 +20,19 @@ built to decide closure AvN: by Kirby and Love (PRL 123, 200501, 2019) it
 holds exactly when commutation is not transitive outside the centre, the
 members that commute with every member.
 
+The cover's contexts are the maximal commuting cliques. Commutation is a
+bilinear form on the unsigned words, so a word commuting with a and b
+commutes with ab (Kirby and Love): on a partially closed set the contexts
+are the maximal abelian subgroups of the closure. ``_max_cliques`` runs
+pivoting Bron-Kerbosch with two subspace rules, valid on any set:
+branching on v takes every candidate in span(R + v) into the clique R at
+once, and afterwards moves that coset v + span(R) out of the candidates.
+The search is at most n deep, and on a closed set R stays a subgroup.
+Vertices are kept in label order, so a clique's set bits are its
+context's members in order. ``_parity_rows`` eliminates each context's
+words from the last to the first, which yields its parity rows already
+reduced and in ``LinearTheory``'s order.
+
 Work over pairs of words runs as whole-array numpy kernels: ``_commuting``
 gives the commutation matrix of two word arrays and ``_products`` their
 products, each taking the parity of a symplectic overlap by XOR folding,
@@ -261,22 +274,51 @@ class PauliSet:
         return op in self.members
 
 
-def _max_cliques(neighbors: list[int]) -> list[int]:
-    """Bron-Kerbosch with pivoting on bitsets; neighbors[v] is v's adjacency mask.
+def _max_cliques(neighbors: list[int], words: list[int], n: int) -> list[int]:
+    """Bron-Kerbosch with pivoting on bitsets; neighbors[v] is v's adjacency
+    mask in the commutation graph of the Pauli words ``words`` on n qubits.
 
     Vertices with one closed neighbourhood, such as x and -x, lie in the
     same maximal cliques, so the search keeps the lowest vertex of each
     such class and widens every clique it finds to whole classes. Returns
     each maximal clique once, as a vertex mask.
+
+    Two subspace rules cut the search; both read only the unsigned words
+    and hold for any Pauli set, closed or not. Commutation is a bilinear
+    form, so a word commuting with each of a set of words commutes with
+    every product of them. Let the search hold the clique R, its
+    candidates P and its excluded vertices X, and branch on v in P.
+
+    1. Every vertex u of P whose word lies in span(R + v) joins R with v.
+       u commutes with R and v, so u is adjacent to all of R + v; any
+       vertex commuting with R and v commutes with u. A maximal clique
+       through R + v therefore contains u.
+    2. After the branch, that whole coset v + span(R) leaves P for X. A
+       maximal clique C through R and a coset member u contains v: v's
+       word is u's times one in span(R), so every member of C commutes
+       with v. C was found in v's branch.
+
+    By rule 1, a vertex of X in span(R + v) lies in every maximal clique
+    through R + v, so such a branch is skipped: it would find nothing new.
+    No vertex of P lies in span(R), since R took each one when it entered,
+    so the vertices of P in span(R + v) are exactly v's coset. Each
+    vertex's word is kept with span(R)'s pivot bits cleared, the one such
+    word in its coset, so a coset is one value of that word. Each branch
+    adds a word outside span(R), and commuting words span at most n
+    dimensions, so the search is at most n deep; on a closed set R stays a
+    subgroup. Product-free words (independent over GF(2)) leave plain
+    pivoting Bron-Kerbosch.
     """
     classes: dict[int, int] = {}
     for v, nbr in enumerate(neighbors):
         closed = nbr | 1 << v
         classes[closed] = classes.get(closed, 0) | 1 << v
     widen = {c & -c: c for c in classes.values()}  # lowest vertex bit -> class
+    low = (1 << 2 * n) - 1
     out: list[int] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def expand(r: int, p: int, x: int, reduced: dict[int, int]) -> None:
+        # reduced[v]: v's unsigned word with span(R)'s pivot bits cleared, v in p | x
         if not p:
             if not x:
                 out.append(sum(widen[bit] for bit in widen if r & bit))
@@ -288,23 +330,40 @@ def _max_cliques(neighbors: list[int]) -> list[int]:
             count = (neighbors[v] & p).bit_count()
             if count > best:
                 pivot, best = v, count
+        cosets: dict[int, int] = {}
+        for v, w in reduced.items():
+            cosets[w] = cosets.get(w, 0) | 1 << v
         todo = p & ~neighbors[pivot]
         while todo:
-            bit = todo & -todo
-            todo ^= bit
-            nbr = neighbors[bit.bit_length() - 1]
-            expand(r | bit, p & nbr, x & nbr)
-            p ^= bit
-            x |= bit
+            v = (todo & -todo).bit_length() - 1
+            w = reduced[v]
+            coset = cosets[w] & p
+            # a vertex of X in the coset lies in every maximal clique
+            # through R + v, so each of them was found before
+            if not cosets[w] & x:
+                top = w & -w  # the new pivot bit of span(R + v)
+                inner = (p | x) & neighbors[v] & ~coset
+                child = {}
+                while inner:
+                    u = (inner & -inner).bit_length() - 1
+                    inner &= inner - 1
+                    wu = reduced[u]
+                    child[u] = wu ^ w if wu & top else wu
+                expand(r | coset, p & neighbors[v] & ~coset, x & neighbors[v], child)
+            p &= ~coset
+            x |= coset
+            todo &= p
 
-    expand(0, sum(widen), 0)
+    reps = sum(widen)
+    expand(0, reps, 0, {v: w & low for v, w in enumerate(words) if reps >> v & 1})
     return out
 
 
 def _vertices(s: PauliSet) -> tuple[list[int], list[str]]:
-    """Word and label of each non-identity member, in member order."""
-    verts = [op for op in s.members if not op.is_identity_like()]
-    return [_word(op) for op in verts], [str(op) for op in verts]
+    """Word and label of each non-identity member, in label order: a clique's
+    set bits are then its context's members in order."""
+    verts = sorted((str(op), _word(op)) for op in s.members if not op.is_identity_like())
+    return [w for _, w in verts], [lab for lab, _ in verts]
 
 
 def _neighbors(words: list[int], n: int) -> list[int]:
@@ -344,13 +403,21 @@ def _intransitive(neighbors: list[int], within: int) -> bool:
 
 def _cover(words: list[int], labels: list[str], n: int) -> list[tuple[Context, list[int]]]:
     """Maximal commuting cliques as sorted contexts, each with its members'
-    words in the context's label order."""
-    out = []
-    for clique in _max_cliques(_neighbors(words, n)) if words else []:
-        members = sorted((labels[i], words[i]) for i in range(len(words)) if clique >> i & 1)
-        out.append((Context(lab for lab, _ in members), [w for _, w in members]))
-    out.sort(key=lambda pair: pair[0])
-    return out
+    words in the context's label order.
+
+    The vertices come in label order, so each clique's set bits list its
+    members in order, and sorting the cliques' index tuples sorts their
+    contexts.
+    """
+    cliques = []
+    for clique in _max_cliques(_neighbors(words, n), words, n) if words else []:
+        index = []
+        while clique:
+            index.append((clique & -clique).bit_length() - 1)
+            clique &= clique - 1
+        cliques.append(index)
+    cliques.sort()
+    return [(Context(labels[i] for i in index), [words[i] for i in index]) for index in cliques]
 
 
 def measurement_cover(s: PauliSet) -> tuple[Context, ...]:
@@ -423,20 +490,23 @@ def partial_closure(s: PauliSet) -> PauliSet:
 
 
 def _parity_rows(words: list[int], n: int) -> list[int]:
-    """Independent parity rows r | sign << k of one context's k member words.
+    """The reduced parity rows r | sign << k of one context's k member words,
+    in falling-pivot order: ``LinearTheory``'s canonical form.
 
-    Bit i of r flags words[i]. The words are eliminated in order, phases
-    tracked by ``_mul`` as in a stabilizer tableau; each word that reduces
-    to +-identity gives a member subset and its sign, 1 for -identity,
-    linear in the subset as commuting members square to the identity.
-    Each row holds its own word's bit above those of the words it used, so
-    the rows are independent and span every such subset.
+    Bit i of r flags words[i]. The words are eliminated from the last to
+    the first, phases tracked by ``_mul`` as in a stabilizer tableau. A
+    word that reduces to +-identity gives a row and its sign, 1 for
+    -identity, linear in the subset as commuting members square to the
+    identity. The row of word j holds j and some of the words above it
+    that entered the tableau, never a word that gave a row. With pivots
+    at the lowest set bit, that is the reduced row with pivot j: the rows
+    come out independent, reduced and spanning every such subset.
     """
     k, low = len(words), (1 << 2 * n) - 1
     basis: list[tuple[int, int, int]] = []  # (pivot bit, word, combination)
     rows = []
-    for i, w in enumerate(words):
-        combo = 1 << i
+    for i in range(k - 1, -1, -1):
+        w, combo = words[i], 1 << i
         for p, bw, bc in basis:
             if w >> p & 1:
                 w, combo = _mul(w, bw, n), combo ^ bc
@@ -453,8 +523,8 @@ def state_independent_theory(s: PauliSet) -> LinearTheory:
     """Parity equations every quantum state's outcomes satisfy.
 
     For each context, products of member subsets that collapse to +-identity
-    pin the mod-2 sum of those outcomes to the product's sign; the theory
-    reduces each context's ``_parity_rows``.
+    pin the mod-2 sum of those outcomes to the product's sign; each
+    context's ``_parity_rows`` come out already reduced.
     """
     n = s.num_qubits
     words, labels = _vertices(s)

@@ -156,8 +156,9 @@ class MeasurementScenario:
             raise ValidationError(f"ring must be one of {RINGS}, got {ring!r}")
         if ring == "Z2" and outs != (0, 1):
             raise ValidationError("ring Z2 requires outcomes (0, 1)")
+        declared = set(meas)
         for c in ctxs:
-            stray = set(c.members) - set(meas)
+            stray = set(c.members) - declared
             if stray:
                 raise ValidationError(
                     f"context {c} uses undeclared measurements {sorted(stray)}")

@@ -427,6 +427,24 @@ def test_si_avn_in_closure_answers_past_the_closure_cap(capsys):
         assert "partial closure exceeds 4096 members" in err
 
 
+def test_table_lines_join_words_without_list_reprs(capsys):
+    """Every table joins its words with spaces; no line prints a list repr."""
+    checks = "nosig,ncf,strong,logical,sections,avn,si-avn,si-avn-closure,kl"
+    cases = [("closure", "XX", "ZZ"), ("si-avn", "XX", "ZZ"),
+             ("si-avn", "--in-closure", "IX", "IZ", "XI", "ZI"),
+             ("kl-test", "IX", "XI", "IZ", "ZI"),
+             ("analyze", "--corpus", "xz222", "--checks", checks),
+             ("validate", "--corpus", "chsh"),
+             ("conjecture-scan", "--set-size", "4", "--samples", "4", "--states", "2",
+              "--seed", "11")]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.strip() and "['" not in out, argv
+    code, out, err = run(capsys, "si-avn", "XX", "ZZ")
+    assert out.splitlines() == ["paulis: ZZ XX", "in_closure: false", "si_avn: false"]
+
+
 def test_kl_test_finds_witness(capsys):
     payload = run_json(capsys, "kl-test", "IX", "XI", "IZ", "ZI")
     assert payload["witness_found"] is True

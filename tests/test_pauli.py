@@ -1,4 +1,6 @@
+import functools
 import random
+import sys
 import tracemalloc
 from itertools import combinations, product
 from operator import attrgetter
@@ -448,7 +450,54 @@ def test_word_kernel_against_matrices():
             assert (_word(a) < _word(b)) == ((a.phase, a.x, a.z) < (b.phase, b.x, b.z))
 
 
+def reference_max_cliques(neighbors):
+    """Plain pivoting Bron-Kerbosch on bitsets, vertex classes merged: the
+    search before the subspace rules, kept as the cover's reference."""
+    classes = {}
+    for v, nbr in enumerate(neighbors):
+        closed = nbr | 1 << v
+        classes[closed] = classes.get(closed, 0) | 1 << v
+    widen = {c & -c: c for c in classes.values()}
+    out = []
+
+    def expand(r, p, x):
+        if not p:
+            if not x:
+                out.append(sum(widen[bit] for bit in widen if r & bit))
+            return
+        pivot, best, rest = 0, -1, p | x
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            count = (neighbors[v] & p).bit_count()
+            if count > best:
+                pivot, best = v, count
+        todo = p & ~neighbors[pivot]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            nbr = neighbors[bit.bit_length() - 1]
+            expand(r | bit, p & nbr, x & nbr)
+            p ^= bit
+            x |= bit
+
+    expand(0, sum(widen), 0)
+    return out
+
+
+def brute_force_max_cliques(neighbors):
+    k = len(neighbors)
+
+    def is_clique(m):
+        return all((neighbors[v] | 1 << v) & m == m for v in range(k) if m >> v & 1)
+
+    return [m for m in range(1, 1 << k) if is_clique(m) and not any(
+        neighbors[v] & m == m for v in range(k) if not m >> v & 1)]
+
+
 def test_max_cliques_against_brute_force():
+    """Product-free words (independent over GF(2)) never trigger the subspace
+    rules, so arbitrary graphs check the pivoting core."""
     rng = random.Random(42)
     for _ in range(150):
         k = rng.randint(1, 12)
@@ -459,14 +508,96 @@ def test_max_cliques_against_brute_force():
                 if rng.random() < density:
                     neighbors[i] |= 1 << j
                     neighbors[j] |= 1 << i
-        def is_clique(m):
-            return all((neighbors[v] | 1 << v) & m == m for v in range(k) if m >> v & 1)
-
-        maximal = [m for m in range(1, 1 << k) if is_clique(m) and not any(
-            neighbors[v] & m == m for v in range(k) if not m >> v & 1)]
-        found = _max_cliques(neighbors)
+        found = _max_cliques(neighbors, [1 << i for i in range(k)], k)
         assert len(found) == len(set(found))
-        assert sorted(found) == maximal
+        assert sorted(found) == brute_force_max_cliques(neighbors)
+
+
+def test_max_cliques_on_pauli_graphs_against_brute_force():
+    """Commutation graphs of signed sets, bare and closed, where the subspace
+    rules fire: x with -x, +-I dropped as vertices, 1-4 qubits."""
+    rng = random.Random(48)
+    checked = {False: 0, True: 0}
+    for _ in range(400):
+        base = random_theory_set(rng, max_qubits=rng.choice((2, 4)))
+        closed = rng.random() < 0.5
+        s = partial_closure(base) if closed else base
+        words, _ = _vertices(s)
+        if not words or len(words) > 12:
+            continue
+        neighbors = _neighbors(words, s.num_qubits)
+        found = _max_cliques(neighbors, words, s.num_qubits)
+        assert len(found) == len(set(found))
+        assert sorted(found) == brute_force_max_cliques(neighbors), s.labels()
+        checked[closed] += 1
+    assert min(checked.values()) > 100
+
+
+@functools.cache
+def closure_mix_sets():
+    """48 closures of 5-8 positive words on 3 or 4 qubits, 16 in each of the
+    member ranges 32-40, 41-96 and 97-144."""
+    rng = random.Random(49)
+    out = []
+    for low, high in ((32, 40), (41, 96), (97, 144)) * 16:
+        while True:
+            n = rng.choice((3, 4))
+            words = rng.sample(_positive_paulis(n), rng.randint(5, 8))
+            try:
+                closed = partial_closure(PauliSet(n, words))
+            except ClosureLimitError:
+                continue
+            if low <= len(closed) <= high:
+                out.append(closed)
+                break
+    return out
+
+
+def test_max_cliques_on_closures_against_reference():
+    """Equal to the reference on closures. Each branch adds a word outside
+    span(R), and commuting words span at most n dimensions, so the search is
+    at most n deep; a branch whose coset meets X is skipped, so few calls
+    find no clique."""
+    calls = cliques = 0
+    for s in closure_mix_sets():
+        words, _ = _vertices(s)
+        neighbors = _neighbors(words, s.num_qubits)
+        state = {"calls": 0, "depth": 0, "deepest": 0}
+
+        def profile(frame, event, arg):
+            if frame.f_code.co_name == "expand" and event in ("call", "return"):
+                state["depth"] += 1 if event == "call" else -1
+                state["calls"] += event == "call"
+                state["deepest"] = max(state["deepest"], state["depth"])
+
+        sys.setprofile(profile)
+        try:
+            found = _max_cliques(neighbors, words, s.num_qubits)
+        finally:
+            sys.setprofile(None)
+        assert len(found) == len(set(found))
+        assert sorted(found) == sorted(reference_max_cliques(neighbors)), s.labels()
+        assert state["deepest"] <= s.num_qubits + 1  # the root call holds R empty
+        calls += state["calls"]
+        cliques += len(found)
+    assert calls <= 3 * cliques  # 4,573 for 2,115 cliques; reference_max_cliques makes 22,416
+
+
+def test_parity_rows_are_the_rows_the_theory_keeps():
+    """The reverse pass emits each context's reduced rows in the order
+    LinearTheory's reduction keeps them."""
+    contexts = 0
+    for s in closure_mix_sets():
+        theory = state_independent_theory(s)
+        cover = _cover(*_vertices(s), s.num_qubits)
+        assert [ctx for ctx, _ in cover] == list(theory.scenario.contexts)
+        for (ctx, words), kept in zip(cover, theory.rows):
+            rows = _parity_rows(words, s.num_qubits)
+            assert rows == list(LinearTheory.from_rows(
+                MeasurementScenario(ctx.members, [ctx]), [rows]).rows[0])
+            assert tuple(rows) == kept
+            contexts += 1
+    assert contexts > 2000
 
 
 def test_closure_and_witness_against_object_reference():
@@ -764,7 +895,7 @@ def reference_theory(s):
     neighbors = [sum(1 << j for j, b in enumerate(verts) if j != i and a.commutes(b))
                  for i, a in enumerate(verts)]
     cover = [Context(str(verts[i]) for i in range(len(verts)) if clique >> i & 1)
-             for clique in (_max_cliques(neighbors) if verts else ())]
+             for clique in (reference_max_cliques(neighbors) if verts else ())]
     scenario = MeasurementScenario([str(op) for op in verts], cover, (0, 1), "Z2")
     by_label = {str(op): op for op in verts}
     equations = []
