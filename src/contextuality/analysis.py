@@ -20,6 +20,14 @@ some possible row misses every survivor. The LP sees only the surviving
 columns, which is also why strongly contextual models resolve without
 simplex work. Everything is exact.
 
+``grade`` makes the one pass every verdict reads: the incidence, V, the
+live rows and the survivor mask, built once per model into a ``Grading``.
+``analyze`` grades a model once for all its incidence checks, and the
+public verdict functions are wrappers that grade and read one verdict.
+The LP's rows are never written cell by cell: the surviving rows' masks
+are unpacked by one ``np.unpackbits`` and the surviving columns selected,
+and ``exactlp.maximize`` takes those integer rows as they are.
+
 The hidden-variable conversions realize the equivalence between global
 distributions and factorisable hidden-variable models: the canonical
 hidden variable ranges over global assignments themselves.
@@ -33,6 +41,8 @@ from fractions import Fraction
 from itertools import product
 from operator import sub
 from typing import Hashable, Iterable, Mapping
+
+import numpy as np
 
 from . import exactlp
 from .empirical import (
@@ -179,6 +189,15 @@ def _bits(mask: int) -> list[int]:
     return [j for j, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
+def _mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The masks as 0/1 rows of n uint8 columns, bit j in column j, unpacked
+    at once from their little-endian bytes."""
+    width = (n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
 def find_global_distribution(model: EmpiricalModel) -> GlobalDistribution | None:
     """Exact solution of MX = V with X >= 0, or None when none exists.
 
@@ -201,54 +220,82 @@ class NoncontextualFraction:
         return 1 - self.ncf
 
 
+@dataclass(frozen=True)
+class Grading:
+    """What every incidence verdict on one model reads, built once: the
+    incidence, the model vector (None for a possibilistic model), the rows'
+    liveness, falsy at dead rows (the model vector itself for an empirical
+    model), and the mask of surviving columns."""
+
+    incidence: IncidenceMatrix
+    vector: list[Fraction] | None
+    live: Sequence[object]
+    alive: int
+
+    def noncontextual_fraction(self) -> NoncontextualFraction:
+        """max |X| subject to MX <= V, X >= 0 over the surviving columns."""
+        inc, alive = self.incidence, self.alive
+        if not alive:
+            return NoncontextualFraction(Fraction(0), {})
+        # a row zero over the surviving columns never enters the ratio test, so
+        # dropping it keeps Bland's pivots and the vertex
+        keep = [i for i, mask in enumerate(inc.row_masks) if mask & alive]
+        bits = _mask_rows([inc.row_masks[i] for i in keep] + [alive], len(inc.columns))
+        cols = np.flatnonzero(bits[-1])
+        # a list of 1-D integer rows, which maximize takes without reading a cell
+        lhs = list(bits[:-1, cols])
+        value, x = exactlp.maximize([1] * len(cols), lhs, [self.vector[i] for i in keep])
+        witness = {inc.columns[j]: xj for j, xj in zip(cols.tolist(), x) if xj}
+        return NoncontextualFraction(value, witness)
+
+    def is_strongly_contextual(self) -> bool:
+        return not self.alive
+
+    def is_logically_contextual(self) -> bool:
+        alive = self.alive
+        return any(possible and not mask & alive
+                   for mask, possible in zip(self.incidence.row_masks, self.live))
+
+    def global_section_count(self) -> int:
+        return self.alive.bit_count()
+
+
+def grade(model: PossibilisticModel | EmpiricalModel) -> Grading:
+    """Build the incidence once and read which rows live off the model."""
+    inc = build_incidence(model.scenario)
+    if isinstance(model, EmpiricalModel):
+        vector = live = model_vector(model)
+    else:
+        vector, live = None, []
+        for ctx in model.scenario.contexts:
+            support = {s.values for s in model.supports[ctx]}
+            live += [vals in support
+                     for vals in product(model.scenario.outcomes, repeat=len(ctx))]
+    return Grading(inc, vector, live, _survivors(inc, live))
+
+
 def noncontextual_fraction(model: EmpiricalModel) -> NoncontextualFraction:
     """max |X| subject to MX <= V, X >= 0, solved exactly."""
-    inc = build_incidence(model.scenario)
-    vec = model_vector(model)
-    alive = _survivors(inc, vec)
-    cols = _bits(alive)
-    if not cols:
-        return NoncontextualFraction(Fraction(0), {})
-    # a row zero over the surviving columns never enters the ratio test, so
-    # dropping it keeps Bland's pivots and the vertex
-    rows = [(mask, v) for mask, v in zip(inc.row_masks, vec) if mask & alive]
-    lhs = [[(mask >> j) & 1 for j in cols] for mask, _ in rows]
-    value, x = exactlp.maximize([1] * len(cols), lhs, [v for _, v in rows])
-    witness = {inc.columns[j]: xj for j, xj in zip(cols, x) if xj}
-    return NoncontextualFraction(value, witness)
+    return grade(model).noncontextual_fraction()
 
 
 def contextual_fraction(model: EmpiricalModel) -> Fraction:
     return noncontextual_fraction(model).cf
 
 
-def _sections(model: PossibilisticModel | EmpiricalModel) -> tuple[IncidenceMatrix, list[bool], int]:
-    """The incidence, which rows are possible, and the surviving-column mask."""
-    inc = build_incidence(model.scenario)
-    if isinstance(model, EmpiricalModel):
-        live = [w > 0 for w in model_vector(model)]
-    else:
-        live = []
-        for ctx in model.scenario.contexts:
-            support = {s.values for s in model.supports[ctx]}
-            live += [vals in support
-                     for vals in product(model.scenario.outcomes, repeat=len(ctx))]
-    return inc, live, _survivors(inc, live)
-
-
 def global_sections(model: PossibilisticModel | EmpiricalModel) -> tuple[Assignment, ...]:
     """All global assignments consistent with every context's support, sorted."""
-    inc, _, alive = _sections(model)
-    return tuple(inc.columns[j] for j in _bits(alive))
+    g = grade(model)
+    return tuple(g.incidence.columns[j] for j in _bits(g.alive))
 
 
 def global_section_count(model: PossibilisticModel | EmpiricalModel) -> int:
     """``len(global_sections(model))``, counted without decoding a column."""
-    return _sections(model)[2].bit_count()
+    return grade(model).global_section_count()
 
 
 def is_strongly_contextual(model: PossibilisticModel | EmpiricalModel) -> bool:
-    return not _sections(model)[2]
+    return grade(model).is_strongly_contextual()
 
 
 def logically_contextual_at(model: PossibilisticModel | EmpiricalModel,
@@ -258,18 +305,16 @@ def logically_contextual_at(model: PossibilisticModel | EmpiricalModel,
     ctx = context if isinstance(context, Context) else Context(context)
     if ctx not in model.scenario.contexts:
         raise ValidationError(f"{ctx} is not a context of the scenario")
-    inc, live, alive = _sections(model)
-    for row, mask, possible in zip(inc.row_index, inc.row_masks, live):
+    g = grade(model)
+    for row, mask, possible in zip(g.incidence.row_index, g.incidence.row_masks, g.live):
         if possible and row == (ctx, s):
-            return not mask & alive
+            return not mask & g.alive
     raise ValidationError(f"{s} is not in the support at {ctx}")
 
 
 def is_logically_contextual(model: PossibilisticModel | EmpiricalModel) -> bool:
     """Does any context hold a possible outcome with no global extension?"""
-    inc, live, alive = _sections(model)
-    return any(possible and not mask & alive
-               for mask, possible in zip(inc.row_masks, live))
+    return grade(model).is_logically_contextual()
 
 
 # ------------------------------------------------- hidden-variable models
@@ -382,8 +427,8 @@ def signed_global_solution(model: EmpiricalModel) -> dict[Assignment, Fraction] 
     """
     inc = build_incidence(model.scenario)
     n = len(inc.columns)
-    rows = [[(mask >> j) & 1 for j in range(n)] for mask in inc.row_masks]
-    x = exactlp.feasible_equalities([r + [-a for a in r] for r in rows], model_vector(model))
+    m = _mask_rows(inc.row_masks, n).astype(np.int64)
+    x = exactlp.feasible_equalities(np.hstack([m, -m]).tolist(), model_vector(model))
     if x is None:
         return None
     return {inc.columns[j]: v for j, v in enumerate(map(sub, x[:n], x[n:])) if v}

@@ -18,12 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import corpus
-from .analysis import (
-    global_section_count,
-    is_logically_contextual,
-    is_strongly_contextual,
-    noncontextual_fraction,
-)
+from .analysis import grade
 from .empirical import (
     EmpiricalModel,
     check_no_signaling,
@@ -199,22 +194,27 @@ _EXTRA_CHECKS = ("si-avn", "si-avn-closure", "kl")
 
 
 def _analysis_payload(kind, obj, checks) -> dict:
+    """The report of each check in order; the incidence checks share one
+    grading pass, built at the first of them."""
     report = {}
+    graded = None
     for check in checks:
         if check in ("nosig", "ncf") and kind != "model":
             raise ValidationError(f"check {check!r} needs a probabilistic model")
+        if check in ("ncf", "strong", "logical", "sections") and graded is None:
+            graded = grade(obj)
         if check == "nosig":
             report["no_signaling"] = is_no_signaling(obj)
         elif check == "ncf":
-            res = noncontextual_fraction(obj)
+            res = graded.noncontextual_fraction()
             report["ncf"] = str(res.ncf)
             report["cf"] = str(res.cf)
         elif check == "strong":
-            report["strongly_contextual"] = is_strongly_contextual(obj)
+            report["strongly_contextual"] = graded.is_strongly_contextual()
         elif check == "logical":
-            report["logically_contextual"] = is_logically_contextual(obj)
+            report["logically_contextual"] = graded.is_logically_contextual()
         elif check == "sections":
-            report["global_section_count"] = global_section_count(obj)
+            report["global_section_count"] = graded.global_section_count()
         elif check == "avn":
             report["avn"] = is_avn(obj)
         elif check in ("si-avn", "si-avn-closure"):
@@ -246,6 +246,8 @@ def cmd_analyze(args) -> int:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     else:
         checks = _MODEL_CHECKS if kind == "model" else _POSS_CHECKS
+        if obj.scenario.ring != "Z2":  # parity equations need Z2 outcomes
+            checks = tuple(c for c in checks if c != "avn")
     report = {"source": source, "kind": kind}
     report.update(_analysis_payload(kind, obj, checks))
     _emit(report, args)

@@ -5,6 +5,13 @@ the analysis stack above it, touches floating point. A model is no-signaling
 when any two contexts induce the same marginal on their overlap, checked
 exactly. Collapsing a model to its supports yields a possibilistic model,
 the input to logical and parity-based contextuality tests.
+
+Weights are checked on integers. A context's sign and sum are read off the
+numerators over the weights' LCD, and no-signalling compares marginals
+summed as scaled integers into lists indexed by outcome arithmetic. The
+JSON loader enumerates each context's assignments once and reads plain
+``p/q`` and integer weight strings with ``int``; ``Fraction`` reads the
+rest.
 """
 
 from __future__ import annotations
@@ -49,22 +56,31 @@ class ContextDistribution:
                  weights: Mapping[Assignment, Fraction | int | str]):
         outs = tuple(outcomes)
         full = enumerate_assignments(context.members, outs)
-        table: dict[Assignment, Fraction] = {}
-        for s in full:
-            w = weights.get(s, _ZERO)
-            if not isinstance(w, Fraction):
-                w = Fraction(w)
-            if w < 0:
-                raise ValidationError(f"negative weight {w} at {s}")
-            table[s] = w
+        table = _weight_table(full, (weights.get(s, _ZERO) for s in full))
         stray = set(weights) - set(full)
         if stray:
             raise ValidationError(f"weights keyed outside E({context}): {sorted(stray)}")
-        total = sum(table.values())
-        if total != 1:
-            raise ValidationError(f"weights at {context} sum to {total}, not 1")
+        self._set(context, outs, table)
+
+    @classmethod
+    def _in_order(cls, context: Context, outcomes: tuple[Outcome, ...],
+                  full: tuple[Assignment, ...], weights: Iterable[Fraction]) -> "ContextDistribution":
+        """The distribution with E(C) = ``full`` enumerated already, and the
+        weights given in its order, so no assignment is looked up."""
+        dist = object.__new__(cls)
+        dist._set(context, outcomes, _weight_table(full, weights))
+        return dist
+
+    def _set(self, context: Context, outcomes: tuple[Outcome, ...],
+             table: dict[Assignment, Fraction]) -> None:
+        # the sum is checked on the numerators over the weights' LCD
+        scale = lcm(*(w.denominator for w in table.values()))
+        total = sum(w.numerator * (scale // w.denominator) for w in table.values())
+        if total != scale:
+            raise ValidationError(
+                f"weights at {context} sum to {Fraction(total, scale)}, not 1")
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "outcomes", outs)
+        object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "weights", table)
 
     def __getitem__(self, s: Assignment) -> Fraction:
@@ -131,50 +147,73 @@ class EmpiricalModel:
         return dist[Assignment.from_mapping(dict(values))]
 
 
-def _scaled_rows(dist: ContextDistribution) -> tuple[int, list[tuple[tuple[Outcome, ...], int]]]:
-    """A common denominator L of the weights, and each (values, weight * L)."""
-    scale = lcm(*(w.denominator for w in dist.weights.values()))
-    return scale, [(s.values, w.numerator * (scale // w.denominator))
-                   for s, w in dist.weights.items()]
+def _weight_table(full: Iterable[Assignment], weights: Iterable[object]) -> dict[Assignment, Fraction]:
+    """Each assignment keyed to its weight as a Fraction, refusing the first
+    negative one in ``full``'s order."""
+    table = {}
+    for s, w in zip(full, weights):
+        if not isinstance(w, Fraction):
+            w = Fraction(w)
+        if w.numerator < 0:
+            raise ValidationError(f"negative weight {w} at {s}")
+        table[s] = w
+    return table
 
 
-def _overlap_sums(scaled: list[tuple[tuple[Outcome, ...], int]],
-                  pos: list[int]) -> dict[tuple[Outcome, ...], int]:
-    """Scaled marginal on the positions ``pos``, keyed by the values there."""
-    sums: dict[tuple[Outcome, ...], int] = {}
-    for vals, w in scaled:
-        key = tuple([vals[p] for p in pos])
-        sums[key] = sums.get(key, 0) + w
-    return sums
+def _overlap_slots(k: int, pos: tuple[int, ...], d: int) -> list[int]:
+    """For each row of a k-member context, in table order, the index of its
+    values at the positions ``pos`` in the overlap's own table order: both
+    orders read the values as base-d digits, the first position most
+    significant."""
+    slots = []
+    for i in range(d ** k):
+        j = 0
+        for p in pos:
+            j = j * d + i // d ** (k - 1 - p) % d
+        slots.append(j)
+    return slots
 
 
 def check_no_signaling(model: EmpiricalModel) -> list[NoSignalingViolation]:
     """Exact pairwise marginal comparison on every context overlap.
 
-    Each context's weights are put over one integer denominator once and
-    summed once per overlap; an assignment and a violation are built only
-    where two contexts disagree, in outcome order within each pair.
+    Each context's weights are put over one integer denominator once, and
+    summed once per overlap into a list in the overlap's table order, each
+    row's slot computed from its index. An assignment and a violation are
+    built only where two contexts disagree, in outcome order within each
+    pair.
     """
     violations = []
-    contexts = model.scenario.contexts
-    scales, scaled = {}, {}
+    scenario = model.scenario
+    d = len(scenario.outcomes)
+    contexts = scenario.contexts
+    scaled = []  # per context: a common denominator L, and each weight * L
     for c in contexts:
-        scales[c], scaled[c] = _scaled_rows(model.rows[c])
-    sums: dict[tuple[Context, tuple[Label, ...]], dict] = {}
+        weights = model.rows[c].weights.values()
+        scale = lcm(*(w.denominator for w in weights))
+        scaled.append((scale, [w.numerator * (scale // w.denominator) for w in weights]))
+    slots: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    sums: dict[tuple[int, tuple[str, ...]], list[int]] = {}
     for i, a in enumerate(contexts):
-        for b in contexts[i + 1:]:
+        for j in range(i + 1, len(contexts)):
+            b = contexts[j]
             shared = a.intersection(b)
             if not shared:
                 continue
-            for c in (a, b):
-                if (c, shared) not in sums:
-                    pos = [c.members.index(label) for label in shared]
-                    sums[c, shared] = _overlap_sums(scaled[c], pos)
-            la, lb = scales[a], scales[b]
-            ma, mb = sums[a, shared], sums[b, shared]
-            for vals in product(model.scenario.outcomes, repeat=len(shared)):
-                wa, wb = ma.get(vals, 0), mb.get(vals, 0)
+            for n, c in ((i, a), (j, b)):
+                if (n, shared) not in sums:
+                    pos = tuple(c.members.index(label) for label in shared)
+                    if (len(c), pos) not in slots:
+                        slots[len(c), pos] = _overlap_slots(len(c), pos, d)
+                    marginal = [0] * d ** len(shared)
+                    for w, slot in zip(scaled[n][1], slots[len(c), pos]):
+                        marginal[slot] += w
+                    sums[n, shared] = marginal
+            la, lb = scaled[i][0], scaled[j][0]
+            for index, (wa, wb) in enumerate(zip(sums[i, shared], sums[j, shared])):
                 if wa * lb != wb * la:
+                    vals = tuple(index // d ** (len(shared) - 1 - q) % d
+                                 for q in range(len(shared)))
                     violations.append(NoSignalingViolation(
                         a, b, Assignment(shared, vals), Fraction(wa, la), Fraction(wb, lb)))
     return violations
@@ -236,12 +275,26 @@ def possibilistic_collapse(model: EmpiricalModel) -> PossibilisticModel:
 
 # ----------------------------------------------------------------- JSON form
 
+def _is_ascii_integer(text: str) -> bool:
+    """Is ``text`` ASCII digits, after at most one leading minus sign?"""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _fraction_from_string(text: object) -> Fraction:
+    """A JSON weight as a Fraction: an integer, or a string that ``Fraction``
+    accepts. Plain ``p/q`` and integer strings in ASCII digits are read with
+    ``int``; every other string goes to ``Fraction(text)``, which decides
+    what else it takes (spaces, ``+``, ``_``, decimals, exponents, other
+    scripts' digits) and refuses, as its Python version does."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected rational string, got {text!r}")
+    num, slash, den = text.partition("/")
     try:
+        if _is_ascii_integer(num) and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"malformed rational {text!r}") from None
@@ -266,6 +319,8 @@ def model_from_dict(data: object) -> EmpiricalModel:
     if not isinstance(raw_rows, dict):
         raise ParseError("model rows must be an object keyed by context")
     by_key = {c.key(): c for c in scenario.contexts}
+    outcomes = scenario.outcomes
+    digits = [str(v) for v in outcomes]
     rows = {}
     for key, table in raw_rows.items():
         if key not in by_key:
@@ -273,13 +328,19 @@ def model_from_dict(data: object) -> EmpiricalModel:
         c = by_key[key]
         if not isinstance(table, dict):
             raise ParseError(f"row {key!r} must be an object of outcome weights")
-        # a string missing from the table is left to parse_assignment, which
-        # raises its error (or decodes non-ASCII digits, as it always has)
-        by_string = {s.to_string(): s
-                     for s in enumerate_assignments(c.members, scenario.outcomes)}
-        weights = {by_string.get(o) or parse_assignment(o, c, scenario.outcomes):
-                   _fraction_from_string(w) for o, w in table.items()}
-        rows[c] = ContextDistribution(c, scenario.outcomes, weights)
+        # E(C) is enumerated once; each outcome string's place in it comes
+        # from the same digit order. A string missing there is left to
+        # parse_assignment, which raises its error (or decodes non-ASCII
+        # digits, as it always has)
+        full = enumerate_assignments(c.members, outcomes)
+        index = {"".join(t): i for i, t in enumerate(product(digits, repeat=len(c)))}
+        weights = [_ZERO] * len(full)
+        for o, w in table.items():
+            i = index.get(o)
+            if i is None:
+                i = full.index(parse_assignment(o, c, outcomes))
+            weights[i] = _fraction_from_string(w)
+        rows[c] = ContextDistribution._in_order(c, outcomes, full, weights)
     missing = set(by_key.values()) - set(rows)
     if missing:
         raise ValidationError(f"model missing rows for {sorted(c.key() for c in missing)}")

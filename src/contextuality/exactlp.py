@@ -32,6 +32,11 @@ ints (``dtype=object``) from then on, so nothing wraps around. Only the
 integers of ``_integer_rows`` enter the array, and it is read through
 ``tolist``, so every value that leaves is a Python int.
 
+Rows given as 1-D numpy integer arrays, as the noncontextual-fraction LP
+hands over its incidence rows, are integers already: no cell is read,
+only ``b`` is scaled, and the rows fill the int64 table directly. Any
+other row, of ints, Fractions or numpy scalars, is scaled entry by entry.
+
 On the 64x64 three-party X/Y LP this is about 3x faster than updating
 lists of Python ints row by row, and about 10x on the 256x256 four-party
 one. On the small LPs of 3-qubit scans, of 4 and 8 pivots, numpy's cost
@@ -57,46 +62,65 @@ _INT64_SAFE = 1 << 31
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
     """values times their least common denominator, and that denominator,
     as Python ints even where a value is a numpy integer."""
-    if all(type(v) is int for v in values):  # incidence rows: nothing to scale
+    if all(type(v) is int for v in values):  # nothing to scale
         return list(values), 1
     fracs = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, values)]
     scale = lcm(*(den for _, den in fracs))
     return [num * (scale // den) for num, den in fracs], scale
 
 
-def _integer_rows(lhs: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[int]], int]:
+def _integer_rows(lhs: Sequence[Sequence], rhs: Sequence) -> tuple[Sequence, list[int], int]:
     """Integer rows [A_i | b_i]: lhs row i times the LCD L_i of its entries,
-    then every b_i times one common L. Returns the rows and L; x at the
-    vertex is then counted in units of 1/L."""
-    rows, bs = [], []
-    for row, b in zip(lhs, rhs):
-        scaled, scale = _integer_row(row)
-        rows.append(scaled)
+    then every b_i times one common L. Returns A, b and L; x at the vertex
+    is then counted in units of 1/L.
+
+    Rows that are numpy integer arrays are integers already: they come back
+    as one 2-D array, unread, and only b is scaled. Any other row is read
+    entry by entry, so Fractions and numpy scalars are scaled exactly."""
+    if len(lhs) and all(isinstance(row, np.ndarray) and row.dtype.kind in "iu" for row in lhs):
+        a, scales = np.array(lhs), [1] * len(lhs)
+    else:
+        a, scales = [], []
+        for row in lhs:
+            scaled, scale = _integer_row(row)
+            a.append(scaled)
+            scales.append(scale)
+    bs = []
+    for b, scale in zip(rhs, scales):
         b = b if type(b) in (int, Fraction) else Fraction(b)
         # b * scale in lowest terms, as num / den, without a Fraction product;
         # int() turns a numpy integer's numerator into a Python int
         g = gcd(b.denominator, scale)
         bs.append((int(b.numerator) * (scale // g), int(b.denominator) // g))
     common = lcm(*(den for _, den in bs))
-    for row, (num, den) in zip(rows, bs):
-        row.append(num * (common // den))
-    return rows, common
+    return a, [num * (common // den) for num, den in bs], common
 
 
-def _simplex(rows: list[list[int]], cost: list[int]) -> tuple[list[int], int]:
+def _table(a: Sequence, b: list[int], cost: list[int]) -> np.ndarray:
+    """``[A | b]`` over ``[cost | 0]`` as one array: int64 when every entry
+    fits, else Python ints (``dtype=object``)."""
+    m, n = len(b), len(cost)
+    table = np.zeros((m + 1, n + 1), dtype=np.int64)
+    try:
+        if m:
+            table[:m, :n] = a
+            table[:m, n] = b
+        table[m, :n] = cost
+    except OverflowError:  # an entry beyond int64 already
+        rows = a.tolist() if isinstance(a, np.ndarray) else a
+        table = np.array([row + [v] for row, v in zip(rows, b)] + [cost + [0]], dtype=object)
+    return table
+
+
+def _simplex(table: np.ndarray) -> tuple[list[int], int]:
     """max cost.x over A x + s = b >= 0, x, s >= 0, from the slack basis.
 
-    ``rows`` are integer ``[A_i | b_i]`` and ``cost`` the integer reduced
-    costs of A's columns. Returns the vertex (x, s) times ``D``, and ``D``,
-    all Python ints. Variable j < n is x_j and n + i is the slack of row i.
+    ``table`` is ``_table``'s integer ``[A | b]`` over the reduced costs of
+    A's columns. Returns the vertex (x, s) times ``D``, and ``D``, all
+    Python ints. Variable j < n is x_j and n + i is the slack of row i.
     The tableau carries only the n nonbasic columns, with the cost row last.
     """
-    m, n = len(rows), len(cost)
-    table = rows + [cost + [0]]
-    try:
-        table = np.array(table, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64 already
-        table = np.array(table, dtype=object)
+    m, n = table.shape[0] - 1, table.shape[1] - 1
     bound = _INT64_SAFE  # so the entries are measured before the first pivot
     nonbasic = list(range(n))
     basis = [n + i for i in range(m)]
@@ -156,11 +180,11 @@ def maximize(cost: Sequence, lhs: Sequence[Sequence], rhs: Sequence) -> tuple[Fr
 
     Returns the exact optimum and an optimal vertex.
     """
-    rows, unit = _integer_rows(lhs, rhs)
-    if any(row[-1] < 0 for row in rows):
+    a, b, unit = _integer_rows(lhs, rhs)
+    if any(v < 0 for v in b):
         raise ValueError("nonnegative right-hand side required")
     c, scale = _integer_row(cost)
-    values, denom = _simplex(rows, c)
+    values, denom = _simplex(_table(a, b, c))
     x = values[:len(c)]
     value = Fraction(sum(cj * xj for cj, xj in zip(c, x)), scale * denom * unit)
     return value, [Fraction(v, denom * unit) for v in x]

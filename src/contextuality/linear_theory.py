@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import gf2
-from .empirical import EmpiricalModel, PossibilisticModel, possibilistic_collapse
+from .empirical import EmpiricalModel, PossibilisticModel
 from .errors import ParseError, SizeLimitError, ValidationError
 from .scenario import (
     Assignment,
@@ -191,17 +191,19 @@ def theory_of_supports(model: EmpiricalModel | PossibilisticModel) -> LinearTheo
     """All parity equations every possible outcome of each context obeys.
 
     Per context this is the annihilator of the support vectors augmented
-    with a constant coordinate.
+    with a constant coordinate. An empirical model's support is read off
+    its nonzero weights, with no possibilistic model built.
     """
-    if isinstance(model, EmpiricalModel):
-        model = possibilistic_collapse(model)
     scenario = model.scenario
     rows = []
     for ctx in scenario.contexts:
+        if isinstance(model, EmpiricalModel):
+            support = [s for s, w in model.rows[ctx].weights.items() if w]
+        else:
+            support = model.supports[ctx]
         k = len(ctx)
-        support = [sum((v & 1) << i for i, v in enumerate(s.values)) | 1 << k
-                   for s in model.supports[ctx]]
-        rows.append(gf2.nullspace(support, k + 1))
+        vectors = [sum((v & 1) << i for i, v in enumerate(s.values)) | 1 << k for s in support]
+        rows.append(gf2.nullspace(vectors, k + 1))
     return LinearTheory.from_rows(scenario, rows)
 
 

@@ -526,3 +526,87 @@ def test_global_section_count_is_the_number_of_sections():
     counts = [global_section_count(m) for m in models]
     assert counts == [len(global_sections(m)) for m in models]
     assert 0 in counts and 2 in counts and 64 in counts
+
+
+def graded_inputs():
+    """(kind, model) pairs across the hierarchy: the corpus, seeded X/Y
+    models, dense and GHZ-type, CHSH/PR-box mixtures, and random
+    possibilistic models with their uniform empirical models."""
+    from contextuality.corpus import REGISTRY, xy322_scenario
+    from contextuality.realize import realize_model_exact
+
+    inputs = [(e.kind, e.build()) for e in REGISTRY.values()
+              if e.kind in ("model", "possibilistic")]
+    rng = random.Random(91)
+    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    for k in range(12):
+        if k % 3:
+            amps = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
+                    for _ in range(8)]
+            amps[0] = one
+        else:  # |000> + c |111>, strongly contextual when c is i^k
+            c = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1), (2, 1)])
+            amps = [one] + [zero] * 6 + [(Fraction(c[0]), Fraction(c[1]))]
+        inputs.append(("model", realize_model_exact(amps, xy322_scenario())))
+    for _ in range(8):
+        inputs.append(("model", convex_mix(chsh_model(), pr_box(),
+                                           Fraction(rng.randrange(0, 9), 8))))
+    for _ in range(40):
+        poss = random_possibilistic(rng)
+        inputs += [("possibilistic", poss), ("model", uniform_model(poss))]
+    return inputs
+
+
+def test_one_pass_payload_matches_public_checks():
+    from contextuality.linear_theory import is_avn
+
+    kinds = set()
+    for kind, model in graded_inputs():
+        checks = cli._MODEL_CHECKS if kind == "model" else cli._POSS_CHECKS
+        expected = {}
+        if kind == "model":
+            res = noncontextual_fraction(model)
+            expected.update(no_signaling=is_no_signaling(model),
+                            ncf=str(res.ncf), cf=str(res.cf))
+        expected.update(strongly_contextual=is_strongly_contextual(model),
+                        logically_contextual=is_logically_contextual(model),
+                        global_section_count=global_section_count(model))
+        if model.scenario.ring == "Z2":
+            expected["avn"] = is_avn(model)
+        else:
+            checks = tuple(c for c in checks if c != "avn")
+        assert cli._analysis_payload(kind, model, checks) == expected
+        kinds.add((kind, expected["strongly_contextual"], expected.get("avn")))
+    assert {("model", True, True), ("model", False, False),
+            ("possibilistic", True, True), ("possibilistic", False, False)} <= kinds
+
+
+def test_default_analyze_builds_one_incidence_and_no_possibilistic_model(
+        monkeypatch, capsys, tmp_path):
+    from contextuality import analysis, empirical
+    from contextuality.empirical import model_to_dict
+
+    counts = {"incidence": 0, "collapse": 0}
+    build, collapse = analysis.build_incidence, empirical.possibilistic_collapse
+
+    def counting_build(scenario):
+        counts["incidence"] += 1
+        return build(scenario)
+
+    def counting_collapse(model):
+        counts["collapse"] += 1
+        return collapse(model)
+
+    monkeypatch.setattr(analysis, "build_incidence", counting_build)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("contextuality") and \
+                getattr(module, "possibilistic_collapse", None) is collapse:
+            monkeypatch.setattr(module, "possibilistic_collapse", counting_collapse)
+    path = tmp_path / "chsh.json"
+    path.write_text(json.dumps(model_to_dict(chsh_model())))
+    for source in (["--corpus", "xy322-ghz"], ["--corpus", "mermin-square-possibilistic"],
+                   [str(path)]):
+        counts.update(incidence=0, collapse=0)
+        assert cli.main(["analyze", *source]) == 0
+        assert counts == {"incidence": 1, "collapse": 0}
+    capsys.readouterr()

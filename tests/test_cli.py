@@ -18,6 +18,7 @@ from contextuality import (
     ContextDistribution,
     EmpiricalModel,
     ParseError,
+    model_from_dict,
     model_to_dict,
     scenario_from_dict,
     scenario_to_dict,
@@ -120,6 +121,81 @@ def test_validate_catches_signaling(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["valid"] is False
     assert payload["problems"]
+
+
+def test_validate_pins_no_signalling_problem_lines(tmp_path, capsys):
+    # context pairs in scenario order, then each overlap's outcomes in
+    # table order, on a 3-outcome model whose overlaps are a two-member
+    # prefix and a last member
+    data = {"scenario": {"measurements": ["a", "b", "c", "d"], "outcomes": [0, 1, 2],
+                         "ring": "none", "contexts": [["a", "b", "c"], ["b", "c", "d"], ["a", "d"]]},
+            "rows": {"a,b,c": {"000": "1/6", "012": "1/6", "102": "1/3", "221": "1/3"},
+                     "b,c,d": {"000": "1/6", "021": "1/3", "110": "1/6", "201": "1/3"},
+                     "a,d": {"00": "1/3", "11": "1/3", "22": "1/3"}}}
+    path = tmp_path / "signalling.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.splitlines()[3:] == [
+        "problem: no-signaling: {a, b, c} and {b, c, d} give 0 vs 1/6 at 11 on the overlap",
+        "problem: no-signaling: {a, b, c} and {b, c, d} give 1/6 vs 0 at 12 on the overlap",
+        "problem: no-signaling: {a, b, c} and {b, c, d} give 0 vs 1/3 at 20 on the overlap",
+        "problem: no-signaling: {a, b, c} and {b, c, d} give 1/3 vs 0 at 21 on the overlap",
+        "problem: no-signaling: {a, d} and {b, c, d} give 1/3 vs 2/3 at 1 on the overlap",
+        "problem: no-signaling: {a, d} and {b, c, d} give 1/3 vs 0 at 2 on the overlap",
+    ]
+
+
+def test_default_analyze_leaves_avn_out_on_non_z2_scenarios(tmp_path, capsys):
+    # parity equations need Z2 outcomes; every other default check answers
+    scenario = {"measurements": ["a", "b", "c"], "outcomes": [0, 1, 2], "ring": "none",
+                "contexts": [["a", "b"], ["b", "c"]]}
+    model = {"scenario": scenario,
+             "rows": {"a,b": {"00": "1/2", "21": "1/2"}, "b,c": {"02": "1/2", "10": "1/2"}}}
+    poss = {"scenario": scenario, "supports": {"a,b": ["00", "21"], "b,c": ["02", "10"]}}
+    for name, data, checks in (("model", model, "nosig,ncf,strong,logical,sections"),
+                               ("possibilistic", poss, "strong,logical,sections")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        payload = run_json(capsys, "analyze", str(path))
+        assert "avn" not in payload
+        assert payload == run_json(capsys, "analyze", str(path), "--checks", checks)
+        assert payload["global_section_count"] == 2
+        code, out, err = run(capsys, "analyze", str(path), "--checks", "avn")
+        assert code == 2 and out == ""
+        assert err == "error: parity equations need a Z2-ringed scenario\n"
+
+
+@pytest.mark.parametrize("text", [
+    "1/2", "-0/1", "007/10", " 1/2", "+1/2", "1_000/3", "1e-3", "0.25", "\u0661/\u0662",
+    "1/0", "1/-2", "", "/", "nan", "1", "-1/3"])
+def test_weight_strings_read_as_fraction_reads_them(tmp_path, capsys, text):
+    # the loader's int() reading of plain p/q must accept exactly what
+    # Fraction accepts on this Python, with the same value
+    from contextuality.empirical import _fraction_from_string
+
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    data = {"scenario": {"measurements": ["a"], "contexts": [["a"]]},
+            "rows": {"a": {"0": text, "1": "1" if value is None else str(1 - value)}}}
+    if value is None:
+        with pytest.raises(ParseError, match="malformed rational"):
+            _fraction_from_string(text)
+    else:
+        parsed = _fraction_from_string(text)
+        assert type(parsed) is Fraction and parsed == value
+        assert type(parsed.numerator) is int and type(parsed.denominator) is int
+        if 0 <= value <= 1:
+            assert model_from_dict(data).probability(["a"], {"a": 0}) == value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    if value is None:
+        assert code == 3 and err == f"error: malformed rational {text!r}\n"
+    else:
+        assert code == (0 if 0 <= value <= 1 else 2)
 
 
 def test_parse_errors_exit_3(tmp_path, capsys):

@@ -426,3 +426,40 @@ def test_maximize_turns_numpy_integers_into_python_ints():
         assert got == maximize(*plain)
         assert _python_ints([got[0], *got[1]])
     assert maximize(*cases[0])[0] == big
+
+
+def test_integer_rows_match_list_rows():
+    # the ncf LP as analysis hands it over, a list of 1-D numpy rows unpacked
+    # from the incidence masks, against the same rows as lists of ints
+    from contextuality import exactlp
+    from contextuality.analysis import _mask_rows, build_incidence, model_vector
+    from contextuality.corpus import chsh_scenario, xy322_scenario
+    from contextuality.realize import realize_model_exact
+
+    scenario = xy322_scenario()
+    masks = build_incidence(scenario).row_masks
+    bits = _mask_rows(masks, 64)
+    lists = [[(mask >> j) & 1 for j in range(64)] for mask in masks]
+    assert bits.tolist() == lists
+    rng = random.Random(81)
+    for k in range(8):
+        amps = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(8)]
+        if k % 4 == 3:  # GHZ-type: zero rows, degenerate vertices
+            amps[1:7] = [(Fraction(0), Fraction(0))] * 6
+        vec = model_vector(realize_model_exact(amps, scenario))
+        got = maximize([1] * 64, list(bits), vec)
+        assert got == maximize([1] * 64, lists, vec)
+        assert _python_ints([got[0], *got[1]])
+    # b over a common denominator past 2^63: the table holds Python ints
+    # from the start
+    masks = build_incidence(chsh_scenario()).row_masks
+    rows = list(_mask_rows(masks, 16))
+    lists = [[(mask >> j) & 1 for j in range(16)] for mask in masks]
+    big = 2**40 - 87
+    rhs = [Fraction(rng.randrange(1, 2**20), (big, big + 2, big + 4)[i % 3])
+           for i in range(len(rows))]
+    a, b, _ = exactlp._integer_rows(rows, rhs)
+    assert exactlp._table(a, b, [1] * 16).dtype == object
+    got = maximize([1] * 16, rows, rhs)
+    assert got == maximize([1] * 16, lists, rhs) == reference_maximize([1] * 16, lists, rhs)
+    assert _python_ints([got[0], *got[1]])
