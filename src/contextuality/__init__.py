@@ -14,17 +14,14 @@ from .analysis import (
     IncidenceMatrix,
     NoncontextualFraction,
     build_incidence,
-    contextual_fraction,
     find_global_distribution,
     from_hidden_variable,
     global_section_count,
     global_sections,
     is_logically_contextual,
     is_strongly_contextual,
-    logically_contextual_at,
     model_vector,
     noncontextual_fraction,
-    signed_global_solution,
     to_hidden_variable,
 )
 from .empirical import (
@@ -55,9 +52,7 @@ from .linear_theory import (
     is_avn,
     is_consistent,
     satisfies,
-    theory_from_dict,
     theory_of_supports,
-    theory_to_dict,
 )
 from .pauli import (
     DeterminingTree,
@@ -65,7 +60,6 @@ from .pauli import (
     PatternTestResult,
     PauliOperator,
     PauliSet,
-    find_determining_tree,
     identity,
     is_state_independent_avn,
     kl_pattern_test,
@@ -96,7 +90,6 @@ from .realize import (
     realize_model,
     realize_model_exact,
     state_from_dict,
-    state_to_dict,
 )
 from .scenario import (
     Assignment,

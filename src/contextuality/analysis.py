@@ -39,7 +39,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import sub
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -279,10 +278,6 @@ def noncontextual_fraction(model: EmpiricalModel) -> NoncontextualFraction:
     return grade(model).noncontextual_fraction()
 
 
-def contextual_fraction(model: EmpiricalModel) -> Fraction:
-    return noncontextual_fraction(model).cf
-
-
 def global_sections(model: PossibilisticModel | EmpiricalModel) -> tuple[Assignment, ...]:
     """All global assignments consistent with every context's support, sorted."""
     g = grade(model)
@@ -296,20 +291,6 @@ def global_section_count(model: PossibilisticModel | EmpiricalModel) -> int:
 
 def is_strongly_contextual(model: PossibilisticModel | EmpiricalModel) -> bool:
     return grade(model).is_strongly_contextual()
-
-
-def logically_contextual_at(model: PossibilisticModel | EmpiricalModel,
-                            context: Context | Iterable[Label],
-                            s: Assignment) -> bool:
-    """Is a possible local outcome missed by every global section?"""
-    ctx = context if isinstance(context, Context) else Context(context)
-    if ctx not in model.scenario.contexts:
-        raise ValidationError(f"{ctx} is not a context of the scenario")
-    g = grade(model)
-    for row, mask, possible in zip(g.incidence.row_index, g.incidence.row_masks, g.live):
-        if possible and row == (ctx, s):
-            return not mask & g.alive
-    raise ValidationError(f"{s} is not in the support at {ctx}")
 
 
 def is_logically_contextual(model: PossibilisticModel | EmpiricalModel) -> bool:
@@ -330,7 +311,10 @@ class HiddenVariableModel:
 
     def __init__(self, scenario, values, prior, conditionals):
         values = tuple(values)
-        if sorted(prior) != sorted(values):
+        # hidden values need only hash, so they are compared as sets
+        if len(set(values)) != len(values):
+            raise ValidationError("hidden values must be distinct")
+        if set(prior) != set(values):
             raise ValidationError("prior must weight exactly the hidden values")
         if any(w < 0 for w in prior.values()) or sum(prior.values()) != 1:
             raise ValidationError("prior must be a distribution")
@@ -417,18 +401,3 @@ def from_hidden_variable(hv: HiddenVariableModel) -> GlobalDistribution:
         if total:
             weights[g] = total
     return GlobalDistribution(scenario, weights)
-
-
-def signed_global_solution(model: EmpiricalModel) -> dict[Assignment, Fraction] | None:
-    """Solve MX = V over the rationals with no sign constraint, or None.
-
-    X = X+ - X- for a vertex (X+, X-) >= 0 of [M | -M] X = V; no-signaling
-    models always admit one.
-    """
-    inc = build_incidence(model.scenario)
-    n = len(inc.columns)
-    m = _mask_rows(inc.row_masks, n).astype(np.int64)
-    x = exactlp.feasible_equalities(np.hstack([m, -m]).tolist(), model_vector(model))
-    if x is None:
-        return None
-    return {inc.columns[j]: v for j, v in enumerate(map(sub, x[:n], x[n:])) if v}

@@ -83,9 +83,6 @@ class ContextDistribution:
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "weights", table)
 
-    def __getitem__(self, s: Assignment) -> Fraction:
-        return self.weights[s]
-
     def support(self) -> frozenset[Assignment]:
         return frozenset(s for s, w in self.weights.items() if w > 0)
 
@@ -134,17 +131,6 @@ class EmpiricalModel:
                 raise ValidationError(f"row {c} uses outcomes {dist.outcomes}")
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "rows", dict(rows))
-
-    def row(self, context: Context | Iterable[Label]) -> ContextDistribution:
-        c = context if isinstance(context, Context) else Context(context)
-        return self.rows[c]
-
-    def probability(self, context: Context | Iterable[Label],
-                    values: Assignment | Mapping[Label, Outcome]) -> Fraction:
-        dist = self.row(context)
-        if isinstance(values, Assignment):
-            return dist[values]
-        return dist[Assignment.from_mapping(dict(values))]
 
 
 def _weight_table(full: Iterable[Assignment], weights: Iterable[object]) -> dict[Assignment, Fraction]:
@@ -261,10 +247,6 @@ class PossibilisticModel:
             table[c] = sup
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "supports", table)
-
-    def support(self, context: Context | Iterable[Label]) -> frozenset[Assignment]:
-        c = context if isinstance(context, Context) else Context(context)
-        return self.supports[c]
 
 
 def possibilistic_collapse(model: EmpiricalModel) -> PossibilisticModel:

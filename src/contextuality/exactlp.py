@@ -43,8 +43,8 @@ one. On the small LPs of 3-qubit scans, of 4 and 8 pivots, numpy's cost
 per call makes it about 20 us per LP slower (Python 3.11.7, numpy 2.4.6,
 a 2-vCPU Xeon).
 
-``maximize`` is the one entry to the simplex. ``feasible_equalities``,
-phase one posed as a ``maximize`` LP, finds ``analysis.signed_global_solution``.
+``maximize`` is the one entry to the simplex. ``feasible_equalities``
+poses phase one, x >= 0 with lhs x = rhs, as a ``maximize`` LP.
 """
 
 from __future__ import annotations

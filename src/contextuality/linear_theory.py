@@ -14,7 +14,7 @@ rows, ordered by falling pivot (lowest set bit), which is ascending
 coefficient order with 0 = 1 first. Both constructors make that
 canonical form on one reducing path, so equality of theories is equality
 of rows. ``LinearEquation`` objects are built only where a caller reads
-them: ``equations``, spans and certificates.
+them: ``equations`` and the certificates of ``is_consistent``.
 """
 
 from __future__ import annotations
@@ -24,16 +24,8 @@ from typing import Iterable
 
 from . import gf2
 from .empirical import EmpiricalModel, PossibilisticModel
-from .errors import ParseError, SizeLimitError, ValidationError
-from .scenario import (
-    Assignment,
-    Context,
-    MeasurementScenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-
-SPAN_LIMIT = 16  # full-span enumeration refuses above this many context members
+from .errors import ValidationError
+from .scenario import Assignment, Context, MeasurementScenario
 
 
 @dataclass(frozen=True, order=True)
@@ -164,19 +156,6 @@ class LinearTheory:
     def _context_rows(self, context: Context) -> tuple[int, ...]:
         return dict(zip(self.scenario.contexts, self.rows)).get(context, ())
 
-    def context_basis(self, context: Context) -> tuple[LinearEquation, ...]:
-        return tuple(_equation(context, row) for row in self._context_rows(context))
-
-    def span(self, context: Context) -> tuple[LinearEquation, ...]:
-        """Every equation the context's basis implies, the zero one included."""
-        if len(context) > SPAN_LIMIT:
-            raise SizeLimitError(
-                f"span enumeration refused for context of size {len(context)} > {SPAN_LIMIT}")
-        span = {0}
-        for row in self._context_rows(context):
-            span |= {row ^ s for s in span}
-        return tuple(sorted(_equation(context, row) for row in span))
-
     def implies(self, equation: LinearEquation) -> bool:
         """Is the equation in the span of its context's basis?"""
         # the basis is reduced, so each row clears the equation's bit at its pivot
@@ -256,44 +235,3 @@ def is_consistent(theory: LinearTheory) -> ConsistencyResult:
 def is_avn(model: EmpiricalModel | PossibilisticModel) -> bool:
     """All-versus-nothing: the support theory admits no global assignment."""
     return not is_consistent(theory_of_supports(model)).consistent
-
-
-# ----------------------------------------------------------------- JSON form
-
-def theory_to_dict(theory: LinearTheory) -> dict:
-    return {
-        "scenario": scenario_to_dict(theory.scenario),
-        "equations": [
-            {
-                "context": list(ctx.members),
-                "r": {m: row >> i & 1 for i, m in enumerate(ctx.members)},
-                "a": row >> len(ctx),
-            }
-            for ctx, row in theory._entries()
-        ],
-    }
-
-
-def theory_from_dict(data: object) -> LinearTheory:
-    if not isinstance(data, dict) or "scenario" not in data or "equations" not in data:
-        raise ParseError("theory object needs 'scenario' and 'equations'")
-    scenario = scenario_from_dict(data["scenario"])
-    equations = []
-    raw = data["equations"]
-    if not isinstance(raw, list):
-        raise ParseError("'equations' must be a list")
-    for item in raw:
-        if not isinstance(item, dict) or not {"context", "r", "a"} <= item.keys():
-            raise ParseError("each equation needs 'context', 'r' and 'a'")
-        members, coefs, const = item["context"], item["r"], item["a"]
-        if not isinstance(members, list) or not isinstance(coefs, dict):
-            raise ParseError("an equation's 'context' must be a list and 'r' an object")
-        if not all(isinstance(m, str) for m in members):
-            raise ParseError("an equation's context labels must be strings")
-        ctx = Context(members)
-        if not coefs.keys() <= set(ctx.members):
-            raise ParseError(f"'r' names measurements outside the context {ctx}")
-        if not all(type(b) is int and b in (0, 1) for b in (*coefs.values(), const)):
-            raise ParseError("'r' values and 'a' must be the integers 0 or 1")
-        equations.append(LinearEquation(ctx, (coefs.get(m, 0) for m in ctx.members), const))
-    return LinearTheory(scenario, equations)

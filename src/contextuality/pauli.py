@@ -599,14 +599,6 @@ class DeterminingTree:
             child.validate(generators)
 
 
-def find_determining_tree(x: PauliOperator, s: PauliSet) -> DeterminingTree | None:
-    """A determining tree for x over s, or None when x escapes the closure."""
-    _, deriv = _closure_with_derivations(s)
-    if x.num_qubits != s.num_qubits or _word(x) not in deriv:
-        return None
-    return _replay_tree(_word(x), s.num_qubits, deriv, _leaves(s))
-
-
 def _replay_tree(
     x: int,
     n: int,

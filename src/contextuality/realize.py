@@ -421,11 +421,6 @@ def state_from_dict(data: object) -> StateVector:
     return StateVector(n, amps)
 
 
-def state_to_dict(psi: StateVector) -> dict:
-    return {"n": psi.num_qubits,
-            "amplitudes": [[str(re), str(im)] for re, im in psi.amplitudes]}
-
-
 def load_state(path: str) -> StateVector:
     with open(path) as fh:
         try:

@@ -18,20 +18,18 @@ from contextuality import (
     SizeLimitError,
     ValidationError,
     build_incidence,
-    contextual_fraction,
     convex_mix,
     find_global_distribution,
     from_hidden_variable,
     global_section_count,
     global_sections,
+    is_avn,
     is_logically_contextual,
     is_no_signaling,
     is_strongly_contextual,
-    logically_contextual_at,
     model_vector,
     noncontextual_fraction,
     possibilistic_collapse,
-    signed_global_solution,
     to_hidden_variable,
 )
 from contextuality.corpus import (
@@ -80,7 +78,7 @@ def test_global_distribution_marginalizes():
     g = Assignment(sc.measurements, (0, 1, 0, 1))
     model = deterministic_model(sc, g)
     ctx = sc.contexts[0]
-    assert model.probability(ctx, g.restrict(ctx.members)) == 1
+    assert model.rows[ctx].weights[g.restrict(ctx.members)] == 1
 
 
 def test_find_global_distribution_on_mixtures():
@@ -92,6 +90,7 @@ def test_find_global_distribution_on_mixtures():
         found = find_global_distribution(model)
         assert found is not None
         assert found.realized_model() == model
+    assert find_global_distribution(xz222_model()) is not None
 
 
 def test_no_global_distribution_for_pr_box():
@@ -101,7 +100,7 @@ def test_no_global_distribution_for_pr_box():
 
 def test_noncontextual_fraction_values():
     assert noncontextual_fraction(chsh_model()).ncf == Fraction(3, 4)
-    assert contextual_fraction(chsh_model()) == Fraction(1, 4)
+    assert noncontextual_fraction(chsh_model()).cf == Fraction(1, 4)
     assert noncontextual_fraction(pr_box()).ncf == 0
     assert noncontextual_fraction(xz222_model()).ncf == 1
     assert noncontextual_fraction(xy322_plus_model()).ncf == 1
@@ -179,15 +178,7 @@ def test_logical_contextuality():
     assert not is_logically_contextual(chsh_model())
     assert is_logically_contextual(pr_box())
     assert is_logically_contextual(xy322_ghz_model())
-    poss = possibilistic_collapse(pr_box())
-    ctx = poss.scenario.contexts[0]
-    s = next(iter(poss.support(ctx)))
-    assert logically_contextual_at(poss, ctx, s)
-    with pytest.raises(ValidationError):
-        logically_contextual_at(poss, ctx, Assignment(ctx.members, [0, 1]))
-    # a context outside the cover is a validation error, not a lookup failure
-    with pytest.raises(ValidationError):
-        logically_contextual_at(chsh_model(), ["a1", "a2"], Assignment(["a1", "a2"], [0, 0]))
+    assert is_logically_contextual(possibilistic_collapse(pr_box()))
 
 
 def test_hidden_variable_round_trip_exact():
@@ -214,78 +205,13 @@ def test_hidden_variable_rejects_nonfactorisable():
     hv = HiddenVariableModel(sc, (lam,), {lam: Fraction(1)}, conditionals)
     with pytest.raises(ValidationError):
         from_hidden_variable(hv)
-
-
-def test_signed_global_solution_separates_pr_box():
-    # the PR box has no probabilistic global distribution but does admit
-    # a signed one; CHSH likewise
-    for model in (pr_box(), chsh_model()):
-        signed = signed_global_solution(model)
-        assert signed is not None
-        assert any(v < 0 for v in signed.values())
-        sc = model.scenario
-        for ctx in sc.contexts:
-            for s in model.rows[ctx].weights:
-                mass = sum(v for g, v in signed.items() if g.extends(s))
-                assert mass == model.probability(ctx, s)
-
-
-def test_signed_solution_matches_probabilistic_when_noncontextual():
-    m = xz222_model()
-    assert find_global_distribution(m) is not None
-    signed = signed_global_solution(m)
-    assert signed is not None
-
-
-def reference_signed_solution(model):
-    """MX = V by Fraction Gauss-Jordan elimination, or None when inconsistent."""
-    inc = build_incidence(model.scenario)
-    n = len(inc.columns)
-    rows = [[Fraction((mask >> j) & 1) for j in range(n)] + [v]
-            for mask, v in zip(inc.row_masks, model_vector(model))]
-    pivots = {}
-    for row in rows:
-        for col, prow in pivots.items():
-            if row[col]:
-                f = row[col]
-                row[:] = [a - f * b for a, b in zip(row, prow)]
-        lead = next((j for j in range(n) if row[j]), None)
-        if lead is None:
-            if row[-1] != 0:
-                return None
-            continue
-        row[:] = [v / row[lead] for v in row]
-        for col, prow in pivots.items():
-            if prow[lead]:
-                f = prow[lead]
-                prow[:] = [a - f * b for a, b in zip(prow, row)]
-        pivots[lead] = row
-    return {inc.columns[j]: prow[-1] for j, prow in pivots.items() if prow[-1]}
-
-
-def test_signed_solution_against_gauss_jordan_reference():
-    """The LP's X+ - X- exists exactly when Gauss-Jordan finds a solution,
-    which is exactly when the model is no-signalling, and solves MX = V."""
-    rng = random.Random(73)
-    chsh, box = chsh_model(), pr_box()
-    models = [convex_mix(chsh, box, Fraction(k, 8)) for k in range(9)]
-    models += [uniform_model(random_possibilistic(rng)) for _ in range(200)]
-    kinds = {True: 0, False: 0}
-    for model in models:
-        signed = signed_global_solution(model)
-        signalling = not is_no_signaling(model)
-        assert (signed is None) == (reference_signed_solution(model) is None) == signalling
-        kinds[signalling] += 1
-        if signed is None:
-            continue
-        assert all(type(v) is Fraction and v for v in signed.values())
-        # column j holds the base-d digits of j, the last measurement least significant
-        d, labels = len(model.scenario.outcomes), model.scenario.measurements
-        assert all(g.labels == labels for g in signed)
-        x = {sum(a * d ** k for k, a in enumerate(g.values[::-1])): v for g, v in signed.items()}
-        for mask, v in zip(build_incidence(model.scenario).row_masks, model_vector(model)):
-            assert sum(xj for j, xj in x.items() if mask >> j & 1) == v
-    assert min(kinds.values()) >= 50
+    # hidden values need only hash: values that do not sort are compared as a set
+    mixed = {(v, ctx): conditionals[(lam, ctx)] for v in (0, "a") for ctx in ctxs}
+    half = {0: Fraction(1, 2), "a": Fraction(1, 2)}
+    assert HiddenVariableModel(sc, (0, "a"), half, mixed).values == (0, "a")
+    for values, prior in (((0, "a", 0), half), ((0, "a"), {0: Fraction(1)})):
+        with pytest.raises(ValidationError):
+            HiddenVariableModel(sc, values, prior, mixed)
 
 
 # ------------------------------------------- references for the bitmask engine
@@ -457,11 +383,29 @@ def test_section_verdicts_match_backtracking_reference():
             assert global_sections(model) == sections
             assert is_strongly_contextual(model) == (not sections)
             assert is_logically_contextual(model) == any(missed.values())
-            for (ctx, s), expected in missed.items():
-                assert logically_contextual_at(model, ctx, s) == expected
         kinds["strong" if not sections else
               "logical" if any(missed.values()) else "neither"] += 1
     assert min(kinds.values()) > 10  # every branch of the hierarchy is exercised
+
+
+def test_hierarchy_holds_on_random_models():
+    """strong => logical on every model, AvN => strong on Z2 models, and on
+    the uniform model strong <=> ncf = 0."""
+    rng = random.Random(64)
+    seen = {"avn": 0, "strong": 0, "logical": 0, "neither": 0}
+    for _ in range(150):
+        poss = random_possibilistic(rng)
+        model = uniform_model(poss)
+        strong, logical = is_strongly_contextual(poss), is_logically_contextual(poss)
+        assert is_strongly_contextual(model) == strong
+        assert is_logically_contextual(model) == logical
+        assert logical or not strong
+        avn = poss.scenario.ring == "Z2" and is_avn(poss)
+        if avn:
+            assert strong and is_avn(model)
+        assert strong == (noncontextual_fraction(model).ncf == 0)
+        seen["avn" if avn else "strong" if strong else "logical" if logical else "neither"] += 1
+    assert min(seen.values()) >= 5  # every grade of the hierarchy is reached
 
 
 def parity_ring(n, parity):

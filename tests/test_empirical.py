@@ -90,7 +90,8 @@ def test_convex_mix():
     m = convex_mix(a, b, lam)
     ctx = a.scenario.contexts[0]
     s = Assignment(ctx.members, [0, 0])
-    assert m.probability(ctx, s) == lam * a.probability(ctx, s) + (1 - lam) * b.probability(ctx, s)
+    assert m.rows[ctx].weights[s] == \
+        lam * a.rows[ctx].weights[s] + (1 - lam) * b.rows[ctx].weights[s]
     with pytest.raises(ValidationError):
         convex_mix(a, b, Fraction(3, 2))
 
@@ -98,7 +99,7 @@ def test_convex_mix():
 def test_possibilistic_collapse():
     p = possibilistic_collapse(pr_box())
     ctx = p.scenario.contexts[0]
-    assert p.support(ctx) == {Assignment(ctx.members, [0, 0]),
+    assert p.supports[ctx] == {Assignment(ctx.members, [0, 0]),
                               Assignment(ctx.members, [1, 1])}
 
 

@@ -10,19 +10,15 @@ from contextuality import (
     LinearEquation,
     LinearTheory,
     MeasurementScenario,
-    ParseError,
     PauliSet,
     PossibilisticModel,
-    SizeLimitError,
     ValidationError,
     is_avn,
     is_consistent,
     partial_closure,
     satisfies,
     state_independent_theory,
-    theory_from_dict,
     theory_of_supports,
-    theory_to_dict,
 )
 from contextuality import cli, gf2
 from contextuality.corpus import (
@@ -33,7 +29,7 @@ from contextuality.corpus import (
     xz222_model,
 )
 from contextuality.scan import _positive_paulis
-from contextuality.scenario import enumerate_assignments, scenario_to_dict
+from contextuality.scenario import enumerate_assignments
 
 
 def tiny_scenario():
@@ -62,7 +58,7 @@ def test_theory_reduces_per_context():
     t1 = LinearTheory(sc, [a, b])
     t2 = LinearTheory(sc, [a, b, c])
     assert t1 == t2
-    assert len(t1.context_basis(Context(["x", "y"]))) == 2
+    assert len(t1.rows[0]) == 2
 
 
 def test_theory_detects_contradiction_within_context():
@@ -80,19 +76,8 @@ def test_span_and_implies():
     a = eq(sc, ["x", "y"], (1, 0), 1)
     b = eq(sc, ["x", "y"], (0, 1), 1)
     t = LinearTheory(sc, [a, b])
-    span = t.span(Context(["x", "y"]))
-    rendered = {e.render() for e in span}
-    assert "s(x) + s(y) = 0" in rendered
     assert t.implies(eq(sc, ["x", "y"], (1, 1), 0))
     assert not t.implies(eq(sc, ["x", "y"], (1, 1), 1))
-
-
-def test_span_refuses_oversized_context():
-    labels = [f"m{i}" for i in range(20)]
-    sc = MeasurementScenario(labels, [labels], [0, 1])
-    t = LinearTheory(sc, [eq(sc, labels, tuple([1] + [0] * 19), 0)])
-    with pytest.raises(SizeLimitError):
-        t.span(Context(labels))
 
 
 def test_theory_requires_z2_ring():
@@ -215,8 +200,8 @@ def test_first_conflict_exit_matches_full_pass():
 # ------------------------------------------------- JSON form and equality
 
 def test_theory_json_round_trip(capsys):
-    """JSON, the equations constructor and the CLI rendering all give back
-    the theory held as rows."""
+    """The equations constructor and the closure CLI's JSON rendering both
+    give back the theory held as rows."""
     rng = random.Random(83)
     theories = [theory_of_supports(mermin_square_possibilistic())]
     theories += [theory_of_supports(random_support_model(rng)) for _ in range(60)]
@@ -225,9 +210,8 @@ def test_theory_json_round_trip(capsys):
     theories += [state_independent_theory(partial_closure(s)) for s in sets]
     assert any(len(t) == 0 for t in theories) and any(len(t) > 20 for t in theories)
     for t in theories:
-        back = theory_from_dict(json.loads(json.dumps(theory_to_dict(t))))
+        back = LinearTheory(t.scenario, t.equations)
         assert back == t and hash(back) == hash(t)
-        assert LinearTheory(t.scenario, t.equations) == t
         assert len(t) == len(t.equations)
         assert list(t.equations) == sorted(t.equations)  # the canonical order
         assert t.render() == [e.render() for e in t.equations]
@@ -236,26 +220,3 @@ def test_theory_json_round_trip(capsys):
         payload = json.loads(capsys.readouterr().out)
         closed = state_independent_theory(partial_closure(s))
         assert payload["equations"] == [e.render() for e in closed.equations]
-
-
-def test_theory_from_dict_refuses_malformed_equations():
-    items = [
-        {"context": ["x", "y"], "r": {"zz": 1}, "a": 1},  # once read as 0 = 1
-        {"context": ["x", "y"], "r": {"x": 1.7}, "a": 0},
-        {"context": ["x", "y"], "r": {"x": 2}, "a": 0},
-        {"context": ["x", "y"], "r": {"x": True}, "a": 0},
-        {"context": ["x", "y"], "r": {"x": 1}, "a": "1"},
-        {"context": ["x", "y"], "r": {"x": 1}, "a": True},
-        {"context": ["x", "y"], "r": {"x": 1}, "a": "q"},
-        {"context": ["x", "y"], "r": {"x": 1}},
-        {"context": ["x", "y"], "r": [1, 0], "a": 0},
-        {"context": "xy", "r": {"x": 1}, "a": 0},
-        {"context": 5, "r": {}, "a": 0},
-    ]
-    scenario = scenario_to_dict(tiny_scenario())
-    for item in items:
-        with pytest.raises(ParseError):
-            theory_from_dict({"scenario": scenario, "equations": [item]})
-    good = {"context": ["x", "y"], "r": {"x": 1}, "a": 1}
-    theory = theory_from_dict({"scenario": scenario, "equations": [good]})
-    assert [e.render() for e in theory.equations] == ["s(x) = 1"]

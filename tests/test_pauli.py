@@ -18,7 +18,6 @@ from contextuality import (
     PatternTestResult,
     PauliSet,
     ValidationError,
-    find_determining_tree,
     identity,
     is_consistent,
     is_state_independent_avn,
@@ -327,23 +326,11 @@ def test_kl_pattern_test_results():
     assert not r2.avn and r2.subset is None
 
 
-def test_determining_tree_search():
-    s = xz222_set()
-    target = PauliOperator.from_string("XX")
-    tree = find_determining_tree(target, s)
-    assert tree is not None
-    assert tree.operator == target
-    tree.validate(partial_closure(s))
-    leaves = tree.leaves()
-    assert all(leaf in s.members for leaf in leaves)
-    absent = PauliOperator.from_string("YX")
-    assert find_determining_tree(absent, s) is None
-
-
 def test_determining_tree_validate_rejects_foreign_leaves():
-    s = PauliSet.from_strings(["XX", "ZZ"])
-    tree = find_determining_tree(PauliOperator.from_string("-YY"), s)
-    assert tree is not None
+    s = xz222_set()
+    tree, _ = kl_witness(s)
+    tree.validate(partial_closure(s))
+    assert all(leaf in s.members for leaf in tree.leaves())
     with pytest.raises(ValidationError):
         tree.validate(PauliSet.from_strings(["XI", "IX"]))
 
@@ -613,9 +600,6 @@ def test_closure_and_witness_against_object_reference():
         as_ops = {_operator(w, n): None if d is None else tuple(_operator(v, n) for v in d)
                   for w, d in deriv.items()}
         assert as_ops == ref_deriv
-        x = rng.choice(ref_elements)
-        tree = find_determining_tree(x, s)
-        assert tree.operator == x and tree.determining_set() <= set(s.members)
         witness = kl_witness(s)
         assert witness == reference_kl_witness(s)
         witnesses += witness is not None
