@@ -309,7 +309,7 @@ def cmd_closure(args) -> int:
     payload = {
         "num_qubits": closed.num_qubits,
         "size": len(closed.members),
-        "members": [str(p) for p in closed.members],
+        "members": list(closed.labels()),  # the labels the cover's vertices took
         "cover": [list(c.members) for c in theory.scenario.contexts],
         "equations": theory.render(),
         "si_avn": not verdict.consistent,

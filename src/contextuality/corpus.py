@@ -22,6 +22,7 @@ from .empirical import (
     model_to_dict,
     possibilistic_to_dict,
 )
+from .errors import ValidationError
 from .pauli import PauliSet, scenario_of
 from .scenario import Assignment, Context, MeasurementScenario
 
@@ -34,7 +35,8 @@ def _model(scenario: MeasurementScenario,
     table = {}
     for labels, weights in rows.items():
         ctx = Context(labels)
-        assert ctx.members == tuple(labels), f"row {labels} not in label order"
+        if ctx.members != tuple(labels):
+            raise ValidationError(f"row {labels} not in label order")
         dist = {Assignment(ctx.members, outs): w for outs, w in weights.items()}
         table[ctx] = ContextDistribution(ctx, scenario.outcomes, dist)
     return EmpiricalModel(scenario, table)

@@ -11,9 +11,11 @@ the scenario's context order. An equation on a context of k members is the
 row ``r | a << k``, where bit i of r flags the context's i-th member and
 ``a`` is the constant. Each context keeps the reduced echelon basis of its
 rows, ordered by falling pivot (lowest set bit), which is ascending
-coefficient order with 0 = 1 first. Both constructors make that
-canonical form on one reducing path, so equality of theories is equality
-of rows. ``LinearEquation`` objects are built only where a caller reads
+coefficient order with 0 = 1 first. Both validating constructors make
+that canonical form on one reducing path, so equality of theories is
+equality of rows. ``LinearTheory.unchecked`` takes rows already in that
+form, as the Pauli parity pass emits them, and neither reduces nor checks
+them. ``LinearEquation`` objects are built only where a caller reads
 them: ``equations`` and the certificates of ``is_consistent``.
 """
 
@@ -132,6 +134,20 @@ class LinearTheory:
             raise ValidationError(f"{len(rows)} row lists for {len(scenario.contexts)} contexts")
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def unchecked(cls, scenario: MeasurementScenario,
+                  rows: tuple[tuple[int, ...], ...]) -> "LinearTheory":
+        """The theory holding ``rows`` as they are: one tuple per context of
+        a Z2 scenario, each already reduced and in falling-pivot order.
+
+        ``pauli.state_independent_theory`` vouches for its input: its
+        ``_parity_rows`` emit each context's rows in that form. Nothing read
+        from a user reaches it; ``from_rows`` reduces and checks those."""
+        theory = object.__new__(cls)
+        object.__setattr__(theory, "scenario", scenario)
+        object.__setattr__(theory, "rows", rows)
+        return theory
 
     def _entries(self) -> list[tuple[Context, int]]:
         """The context and row of every equation, in canonical order."""

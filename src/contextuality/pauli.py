@@ -28,10 +28,16 @@ pivoting Bron-Kerbosch with two subspace rules, valid on any set:
 branching on v takes every candidate in span(R + v) into the clique R at
 once, and afterwards moves that coset v + span(R) out of the candidates.
 The search is at most n deep, and on a closed set R stays a subgroup.
-Vertices are kept in label order, so a clique's set bits are its
-context's members in order. ``_parity_rows`` eliminates each context's
-words from the last to the first, which yields its parity rows already
-reduced and in ``LinearTheory``'s order.
+Each call hands its children their vertices' reduced words and the coset
+masks they key, both made in one walk. Vertices are kept in label order,
+so a clique's set bits are its context's members in order, and the
+sorted cliques are the scenario's contexts in order. ``_parity_rows``
+eliminates each context's words from the last to the first, which yields
+its parity rows already reduced and in ``LinearTheory``'s order. So the
+contexts, the scenario and the theory are built once, from the sorted
+cliques and those rows, with no sort, check or reduction run again; each
+member's label is made once per set and serves the vertices and the
+``closure`` command's member list.
 
 Work over pairs of words runs as whole-array numpy kernels: ``_commuting``
 gives the commutation matrix of two word arrays and ``_products`` their
@@ -52,6 +58,7 @@ call costs more than the whole loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -60,12 +67,12 @@ import numpy as np
 from . import gf2
 from .errors import ClosureLimitError, ParseError, ValidationError
 from .linear_theory import LinearTheory, is_consistent
-from .scenario import Context, MeasurementScenario
+from .scenario import Context, MeasurementScenario, unchecked_contexts, unchecked_scenario
 
 CLOSURE_LIMIT = 4096
 
-_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS = {v: k for k, v in _LETTERS.items()}
+_LETTERS = "IZXY"  # one qubit's letter, indexed by x << 1 | z
+_BITS = {ch: (i >> 1, i & 1) for i, ch in enumerate(_LETTERS)}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
 _SINGLE = {
@@ -115,9 +122,8 @@ class PauliOperator:
         return cls(len(body), (phase + (x & z).bit_count()) % 4, x, z)
 
     def letters(self) -> str:
-        return "".join(
-            _LETTERS[((self.x >> j) & 1, (self.z >> j) & 1)]
-            for j in range(self.num_qubits))
+        x, z = self.x, self.z
+        return "".join([_LETTERS[(x >> j & 1) << 1 | z >> j & 1] for j in range(self.num_qubits)])
 
     def sign_exponent(self) -> int:
         """Exponent of i in front of the bare letter word."""
@@ -262,7 +268,13 @@ class PauliSet:
         return cls(ops[0].num_qubits, ops)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(str(op) for op in self.members)
+        """Each member's label, in member order."""
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        # made once per set: the cover's vertices and the closure's payload share it
+        return tuple([str(op) for op in self.members])
 
     def __iter__(self) -> Iterator[PauliOperator]:
         return iter(self.members)
@@ -303,8 +315,11 @@ def _max_cliques(neighbors: list[int], words: list[int], n: int) -> list[int]:
     No vertex of P lies in span(R), since R took each one when it entered,
     so the vertices of P in span(R + v) are exactly v's coset. Each
     vertex's word is kept with span(R)'s pivot bits cleared, the one such
-    word in its coset, so a coset is one value of that word. Each branch
-    adds a word outside span(R), and commuting words span at most n
+    word in its coset, so a coset is one value of that word. Each call
+    gets those words and the coset masks they key from its parent, which
+    builds both in one walk over the child's vertices; a branch that would
+    leave P empty makes no call, and records R when X is empty too. Each
+    branch adds a word outside span(R), and commuting words span at most n
     dimensions, so the search is at most n deep; on a closed set R stays a
     subgroup. Product-free words (independent over GF(2)) leave plain
     pivoting Bron-Kerbosch.
@@ -317,12 +332,9 @@ def _max_cliques(neighbors: list[int], words: list[int], n: int) -> list[int]:
     low = (1 << 2 * n) - 1
     out: list[int] = []
 
-    def expand(r: int, p: int, x: int, reduced: dict[int, int]) -> None:
-        # reduced[v]: v's unsigned word with span(R)'s pivot bits cleared, v in p | x
-        if not p:
-            if not x:
-                out.append(sum(widen[bit] for bit in widen if r & bit))
-            return
+    def expand(r: int, p: int, x: int, reduced: dict[int, int], cosets: dict[int, int]) -> None:
+        # p is never empty; reduced[v]: v's unsigned word with span(R)'s pivot
+        # bits cleared, v in p | x; cosets[w]: the vertices of p | x whose word is w
         pivot, best, rest = 0, -1, p | x
         while rest:
             v = (rest & -rest).bit_length() - 1
@@ -330,9 +342,6 @@ def _max_cliques(neighbors: list[int], words: list[int], n: int) -> list[int]:
             count = (neighbors[v] & p).bit_count()
             if count > best:
                 pivot, best = v, count
-        cosets: dict[int, int] = {}
-        for v, w in reduced.items():
-            cosets[w] = cosets.get(w, 0) | 1 << v
         todo = p & ~neighbors[pivot]
         while todo:
             v = (todo & -todo).bit_length() - 1
@@ -341,28 +350,48 @@ def _max_cliques(neighbors: list[int], words: list[int], n: int) -> list[int]:
             # a vertex of X in the coset lies in every maximal clique
             # through R + v, so each of them was found before
             if not cosets[w] & x:
-                top = w & -w  # the new pivot bit of span(R + v)
-                inner = (p | x) & neighbors[v] & ~coset
-                child = {}
-                while inner:
-                    u = (inner & -inner).bit_length() - 1
-                    inner &= inner - 1
-                    wu = reduced[u]
-                    child[u] = wu ^ w if wu & top else wu
-                expand(r | coset, p & neighbors[v] & ~coset, x & neighbors[v], child)
+                nbr = neighbors[v]
+                inner_p, inner_x = p & nbr & ~coset, x & nbr
+                if inner_p:
+                    top = w & -w  # the new pivot bit of span(R + v)
+                    inner = inner_p | inner_x
+                    child: dict[int, int] = {}
+                    child_cosets: dict[int, int] = {}
+                    while inner:
+                        bit = inner & -inner
+                        inner ^= bit
+                        u = bit.bit_length() - 1
+                        wu = reduced[u]
+                        if wu & top:
+                            wu ^= w
+                        child[u] = wu
+                        child_cosets[wu] = child_cosets.get(wu, 0) | bit
+                    expand(r | coset, inner_p, inner_x, child, child_cosets)
+                elif not inner_x:  # R + coset is maximal
+                    clique, rest = 0, r | coset
+                    while rest:  # one vertex of each class it meets
+                        bit = rest & -rest
+                        clique |= widen[bit]
+                        rest ^= bit
+                    out.append(clique)
             p &= ~coset
             x |= coset
             todo &= p
 
     reps = sum(widen)
-    expand(0, reps, 0, {v: w & low for v, w in enumerate(words) if reps >> v & 1})
+    reduced = {v: w & low for v, w in enumerate(words) if reps >> v & 1}
+    cosets: dict[int, int] = {}
+    for v, w in reduced.items():
+        cosets[w] = cosets.get(w, 0) | 1 << v
+    expand(0, reps, 0, reduced, cosets)
     return out
 
 
 def _vertices(s: PauliSet) -> tuple[list[int], list[str]]:
     """Word and label of each non-identity member, in label order: a clique's
     set bits are then its context's members in order."""
-    verts = sorted((str(op), _word(op)) for op in s.members if not op.is_identity_like())
+    verts = sorted([(lab, _word(op)) for op, lab in zip(s.members, s.labels())
+                    if not op.is_identity_like()])
     return [w for _, w in verts], [lab for lab, _ in verts]
 
 
@@ -406,18 +435,20 @@ def _cover(words: list[int], labels: list[str], n: int) -> list[tuple[Context, l
     words in the context's label order.
 
     The vertices come in label order, so each clique's set bits list its
-    members in order, and sorting the cliques' index tuples sorts their
-    contexts.
+    members in order, and sorting the cliques' index lists sorts their
+    contexts: they are built as they are, with no sort or check.
     """
     cliques = []
     for clique in _max_cliques(_neighbors(words, n), words, n) if words else []:
         index = []
         while clique:
-            index.append((clique & -clique).bit_length() - 1)
-            clique &= clique - 1
+            bit = clique & -clique
+            index.append(bit.bit_length() - 1)
+            clique ^= bit
         cliques.append(index)
     cliques.sort()
-    return [(Context(labels[i] for i in index), [words[i] for i in index]) for index in cliques]
+    return list(zip(unchecked_contexts(labels, cliques),
+                    [[words[i] for i in index] for index in cliques]))
 
 
 def measurement_cover(s: PauliSet) -> tuple[Context, ...]:
@@ -429,11 +460,20 @@ def measurement_cover(s: PauliSet) -> tuple[Context, ...]:
     return tuple(ctx for ctx, _ in _cover(*_vertices(s), s.num_qubits))
 
 
-def scenario_of(s: PauliSet) -> MeasurementScenario:
-    """The Z2 measurement scenario a Pauli set generates."""
+def _scenario(s: PauliSet) -> tuple[MeasurementScenario, list[list[int]]]:
+    """The Z2 scenario of the set's cover, and each context's member words.
+
+    The labels and the cover's contexts come sorted and distinct, so the
+    scenario is built as it is, with no sort or check."""
     words, labels = _vertices(s)
     cover = _cover(words, labels, s.num_qubits)
-    return MeasurementScenario(labels, [ctx for ctx, _ in cover], (0, 1), "Z2")
+    return (unchecked_scenario(tuple(labels), tuple([ctx for ctx, _ in cover])),
+            [w for _, w in cover])
+
+
+def scenario_of(s: PauliSet) -> MeasurementScenario:
+    """The Z2 measurement scenario a Pauli set generates."""
+    return _scenario(s)[0]
 
 
 def _closure_with_derivations(
@@ -489,34 +529,40 @@ def partial_closure(s: PauliSet) -> PauliSet:
     return PauliSet(s.num_qubits, [_operator(w, s.num_qubits) for w in words])
 
 
-def _parity_rows(words: list[int], n: int) -> list[int]:
+def _parity_rows(words: list[int], n: int) -> tuple[int, ...]:
     """The reduced parity rows r | sign << k of one context's k member words,
     in falling-pivot order: ``LinearTheory``'s canonical form.
 
     Bit i of r flags words[i]. The words are eliminated from the last to
-    the first, phases tracked by ``_mul`` as in a stabilizer tableau. A
-    word that reduces to +-identity gives a row and its sign, 1 for
-    -identity, linear in the subset as commuting members square to the
+    the first, phases tracked as ``_mul`` tracks them, as in a stabilizer
+    tableau. A word that reduces to +-identity gives a row and its sign, 1
+    for -identity, linear in the subset as commuting members square to the
     identity. The row of word j holds j and some of the words above it
     that entered the tableau, never a word that gave a row. With pivots
     at the lowest set bit, that is the reduced row with pivot j: the rows
     come out independent, reduced and spanning every such subset.
     """
     k, low = len(words), (1 << 2 * n) - 1
-    basis: list[tuple[int, int, int]] = []  # (pivot bit, word, combination)
+    # (pivot bit, unsigned word, its x bits, phase, combination)
+    basis: list[tuple[int, int, int, int, int]] = []
     rows = []
     for i in range(k - 1, -1, -1):
         w, combo = words[i], 1 << i
-        for p, bw, bc in basis:
-            if w >> p & 1:
-                w, combo = _mul(w, bw, n), combo ^ bc
-        if w & low:
-            basis.append((gf2.lowest_bit(w & low), w, combo))
-        elif w >> 2 * n & 1:
-            raise AssertionError(f"member product {_operator(w, n)} is not +-identity")
+        bits, phase = w & low, w >> 2 * n
+        for pivot, bw, bx, bp, bc in basis:
+            if bits & pivot:
+                # _mul inlined: z of the word meeting x of the basis word adds 2
+                phase += bp + 2 * (bits & bx).bit_count()
+                bits ^= bw
+                combo ^= bc
+        if bits:
+            basis.append((bits & -bits, bits, bits >> n, phase, combo))
+        elif phase & 1:
+            raise AssertionError(
+                f"member product {_operator((phase & 3) << 2 * n, n)} is not +-identity")
         else:
-            rows.append(combo | (w >> 2 * n + 1) << k)
-    return rows
+            rows.append(combo | (phase >> 1 & 1) << k)
+    return tuple(rows)
 
 
 def state_independent_theory(s: PauliSet) -> LinearTheory:
@@ -524,14 +570,13 @@ def state_independent_theory(s: PauliSet) -> LinearTheory:
 
     For each context, products of member subsets that collapse to +-identity
     pin the mod-2 sum of those outcomes to the product's sign; each
-    context's ``_parity_rows`` come out already reduced.
+    context's ``_parity_rows`` come out already reduced and in order, so
+    the theory holds them as they are.
     """
+    scenario, words = _scenario(s)
     n = s.num_qubits
-    words, labels = _vertices(s)
-    cover = _cover(words, labels, n)
-    scenario = MeasurementScenario(labels, [ctx for ctx, _ in cover], (0, 1), "Z2")
     # the cover is sorted, so it is in the scenario's context order
-    return LinearTheory.from_rows(scenario, [_parity_rows(w, n) for _, w in cover])
+    return LinearTheory.unchecked(scenario, tuple([_parity_rows(w, n) for w in words]))
 
 
 def is_state_independent_avn(s: PauliSet, in_closure: bool = False) -> bool:

@@ -11,14 +11,18 @@ structure set ``ring="Z2"``, which the parity-equation machinery requires.
 
 Construction canonicalizes (sorts, deduplicates) but does not repair:
 covering and anti-chain violations are reported by ``validate_scenario``
-as data, not silently fixed.
+as data, not silently fixed. The ``unchecked_*`` constructors skip that
+work for callers whose data is canonical by construction: the assignment
+enumeration, and the Pauli cover, whose contexts are sorted cliques over
+label-ordered vertices. They give objects equal to what the validating
+constructors give on the same data, and no user input reaches them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -205,7 +209,13 @@ def enumerate_assignments(labels: Iterable[Label], outcomes: Iterable[Outcome]) 
 def unchecked_assignments(labels: tuple[Label, ...],
                           rows: Iterable[tuple[Outcome, ...]]) -> list[Assignment]:
     """One assignment per row of outcomes on sorted, distinct ``labels``,
-    built without the constructor's checks, which the caller vouches for."""
+    built without the constructor's checks.
+
+    ``enumerate_assignments`` vouches for its input, since it deduplicates
+    and sorts the labels and checks the outcomes once, and
+    ``analysis.Columns`` decodes its values from a column index over a
+    scenario's sorted labels. Nothing read from a user reaches it;
+    ``Assignment`` checks those."""
     out = []
     for vals in rows:
         s = object.__new__(Assignment)
@@ -213,6 +223,41 @@ def unchecked_assignments(labels: tuple[Label, ...],
         object.__setattr__(s, "values", vals)
         out.append(s)
     return out
+
+
+def unchecked_contexts(labels: Sequence[Label],
+                       indices: Iterable[Sequence[int]]) -> list[Context]:
+    """One context per nonempty ascending index list into sorted, distinct,
+    valid ``labels``, built without the constructor's sort and checks.
+
+    ``pauli``'s cover vouches for its input: the labels are Pauli strings
+    of distinct members in label order, and each index list is a clique's
+    set bits, so its labels come out sorted. Nothing read from a user
+    reaches it; ``Context`` checks those."""
+    out = []
+    for index in indices:
+        c = object.__new__(Context)
+        object.__setattr__(c, "members", tuple([labels[i] for i in index]))
+        out.append(c)
+    return out
+
+
+def unchecked_scenario(measurements: tuple[Label, ...],
+                       contexts: tuple[Context, ...]) -> MeasurementScenario:
+    """The Z2 scenario on sorted, distinct, valid ``measurements`` with
+    sorted, distinct ``contexts`` over them, built without the
+    constructor's sort and checks.
+
+    ``pauli``'s cover vouches for its input: it makes the contexts with
+    ``unchecked_contexts`` from cliques in sorted order, over the labels it
+    gives here. Nothing read from a user reaches it; ``MeasurementScenario``
+    checks those."""
+    s = object.__new__(MeasurementScenario)
+    object.__setattr__(s, "measurements", measurements)
+    object.__setattr__(s, "contexts", contexts)
+    object.__setattr__(s, "outcomes", (0, 1))
+    object.__setattr__(s, "ring", "Z2")
+    return s
 
 
 def validate_scenario(scenario: MeasurementScenario) -> list[ScenarioViolation]:

@@ -8,6 +8,7 @@ from contextuality import (
     EmpiricalModel,
     PauliSet,
     PossibilisticModel,
+    ValidationError,
     check_no_signaling,
     global_sections,
     is_avn,
@@ -19,7 +20,7 @@ from contextuality import (
     partial_closure,
     validate_scenario,
 )
-from contextuality.corpus import REGISTRY, expectations
+from contextuality.corpus import REGISTRY, _model, chsh_scenario, expectations
 
 
 def pauli_set_for(entry_value):
@@ -89,3 +90,10 @@ def test_chsh_fraction_is_exact():
     result = noncontextual_fraction(REGISTRY["chsh"].build())
     assert result.ncf == Fraction(3, 4)
     assert isinstance(result.ncf, Fraction)
+
+
+def test_rows_out_of_label_order_are_refused():
+    """The label-order check is a ValidationError, so it holds under python -O."""
+    half = Fraction(1, 2)
+    with pytest.raises(ValidationError, match="not in label order"):
+        _model(chsh_scenario(), {("b1", "a1"): {(0, 0): half, (1, 1): half}})

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 import sys
 import tracemalloc
@@ -543,8 +544,9 @@ def closure_mix_sets():
 def test_max_cliques_on_closures_against_reference():
     """Equal to the reference on closures. Each branch adds a word outside
     span(R), and commuting words span at most n dimensions, so the search is
-    at most n deep; a branch whose coset meets X is skipped, so few calls
-    find no clique."""
+    at most n deep; a branch whose coset meets X is skipped, and a branch
+    that leaves no candidates records its clique without a call, so few
+    calls find no clique."""
     calls = cliques = 0
     for s in closure_mix_sets():
         words, _ = _vertices(s)
@@ -564,10 +566,10 @@ def test_max_cliques_on_closures_against_reference():
             sys.setprofile(None)
         assert len(found) == len(set(found))
         assert sorted(found) == sorted(reference_max_cliques(neighbors)), s.labels()
-        assert state["deepest"] <= s.num_qubits + 1  # the root call holds R empty
+        assert state["deepest"] <= s.num_qubits  # the root call holds R empty
         calls += state["calls"]
         cliques += len(found)
-    assert calls <= 3 * cliques  # 4,573 for 2,115 cliques; reference_max_cliques makes 22,416
+    assert calls <= 2 * cliques  # 2,458 for 2,115 cliques; reference_max_cliques makes 22,416
 
 
 def test_parity_rows_are_the_rows_the_theory_keeps():
@@ -580,9 +582,9 @@ def test_parity_rows_are_the_rows_the_theory_keeps():
         assert [ctx for ctx, _ in cover] == list(theory.scenario.contexts)
         for (ctx, words), kept in zip(cover, theory.rows):
             rows = _parity_rows(words, s.num_qubits)
-            assert rows == list(LinearTheory.from_rows(
-                MeasurementScenario(ctx.members, [ctx]), [rows]).rows[0])
-            assert tuple(rows) == kept
+            assert rows == LinearTheory.from_rows(
+                MeasurementScenario(ctx.members, [ctx]), [rows]).rows[0]
+            assert rows == kept
             contexts += 1
     assert contexts > 2000
 
@@ -1001,3 +1003,81 @@ def test_theory_builds_each_equation_once(monkeypatch, capsys):
         built["equation"] = 0
         assert is_state_independent_avn(base, True) is avn
         assert built == {"equation": 0, "from_equations": 0}
+
+
+# ------------------------------------- reference for the closure command
+
+def reference_closure_payload(labels):
+    """The closure command's JSON as the object pipeline built it: the
+    validating Context, MeasurementScenario and reducing from_rows, str()
+    of each member, then render and is_consistent."""
+    base = PauliSet.from_strings(labels)
+    n = base.num_qubits
+    words, _ = _closure_with_derivations(base)
+    closed = PauliSet(n, [_operator(w, n) for w in words])
+    verts = sorted((str(op), _word(op)) for op in closed.members if not op.is_identity_like())
+    vwords, vlabels = [w for _, w in verts], [lab for lab, _ in verts]
+    cliques = _max_cliques(_neighbors(vwords, n), vwords, n) if vwords else []
+    scenario = MeasurementScenario(
+        vlabels, [Context(vlabels[i] for i in range(len(verts)) if c >> i & 1) for c in cliques],
+        (0, 1), "Z2")
+    by_label = dict(verts)
+    theory = LinearTheory.from_rows(scenario, [
+        _parity_rows([by_label[m] for m in ctx.members], n) for ctx in scenario.contexts])
+    payload = {
+        "num_qubits": n,
+        "size": len(closed.members),
+        "members": [str(p) for p in closed.members],
+        "cover": [list(c.members) for c in scenario.contexts],
+        "equations": theory.render(),
+        "si_avn": not is_consistent(theory).consistent,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_closure_json_matches_the_object_pipeline(capsys):
+    """closure builds its contexts, scenario and theory unchecked and makes
+    each member's label once; its JSON is byte for byte the object
+    pipeline's, on closures whose words pass 62 bits, signed sets with x
+    and -x, and sets holding +-I."""
+    rng = random.Random(50)
+    signed = [random_theory_set(rng) for _ in range(40)]
+    assert any(op.negate() in s for s in signed for op in s if not op.is_identity_like())
+    assert {op.phase for s in signed for op in s if op.is_identity_like()} == {0, 2}
+    wide = [s for s in kernel_test_sets() if s.num_qubits > 30]
+    assert {s.num_qubits for s in wide} == {31, 33, 70}
+    named = [mermin_square_set(), mermin_star_set(), xz222_set()]
+    for s in [*closure_mix_sets(), *signed, *wide, *named]:
+        labels = s.labels()
+        assert cli.main(["closure", *labels, "--format", "json"]) == 0
+        assert capsys.readouterr().out == reference_closure_payload(labels), labels
+
+
+def test_unchecked_constructors_equal_the_validating_ones():
+    """scenario_of and state_independent_theory build their objects without
+    the constructors' sorts and checks; the objects equal, and hash as,
+    those the validating constructors build from the same data, and on the
+    bare sets those of the object pipeline."""
+    rng = random.Random(51)
+    sets = [(PauliSet(2, c), False) for c in combinations(_positive_paulis(2), 4)]
+    assert len(sets) == 1365
+    for _ in range(200):
+        ops = {random_operator(rng, 3, hermitian=True) for _ in range(rng.randint(3, 8))}
+        if rng.random() < 0.3:
+            ops.add(min(ops, key=str).negate())
+        if rng.random() < 0.2:
+            ops.add(identity(3).negate() if rng.random() < 0.5 else identity(3))
+        closed = rng.random() < 0.5
+        sets.append((partial_closure(PauliSet(3, ops)) if closed else PauliSet(3, ops), closed))
+    assert 80 < sum(closed for _, closed in sets) < 120
+    for s, closed in sets:
+        scenario, theory = scenario_of(s), state_independent_theory(s)
+        assert scenario == theory.scenario and hash(scenario) == hash(theory.scenario)
+        validated = MeasurementScenario(
+            list(scenario.measurements), [Context(c.members) for c in scenario.contexts])
+        assert scenario == validated and hash(scenario) == hash(validated)
+        rebuilt = LinearTheory.from_rows(validated, [list(rows) for rows in theory.rows])
+        assert theory == rebuilt and hash(theory) == hash(rebuilt)
+        if not closed:
+            reference = reference_theory(s)
+            assert theory == reference and hash(theory) == hash(reference)
