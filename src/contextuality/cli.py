@@ -169,13 +169,7 @@ def cmd_validate(args) -> int:
         kind, obj = _load_any(args.path)
         source = args.path
     scenario = _scenario_of(kind, obj)
-    problems = []
-    for v in validate_scenario(scenario):
-        if v.kind == "covering":
-            problems.append(f"covering: measurement {v.items[0]} is in no context")
-        else:
-            a, b = v.items
-            problems.append(f"antichain: context {a.key()} is contained in {b.key()}")
+    problems = [f"{v.kind}: {v}" for v in validate_scenario(scenario)]
     if kind == "model":
         problems += [f"no-signaling: {v}" for v in check_no_signaling(obj)]
     payload = {"source": source, "kind": kind, "valid": not problems,
@@ -314,11 +308,13 @@ def cmd_closure(args) -> int:
         "equations": theory.render(),
         "si_avn": not verdict.consistent,
     }
-    table = [f"num_qubits: {closed.num_qubits}", f"size: {len(closed.members)}",
-             "members: " + " ".join(payload["members"])]
-    table += [f"context: {' '.join(c)}" for c in payload["cover"]]
-    table += [f"equation: {e}" for e in payload["equations"]]
-    table.append(f"si_avn: {_scalar(payload['si_avn'])}")
+    table = None
+    if args.format == "table":
+        table = [f"num_qubits: {closed.num_qubits}", f"size: {len(closed.members)}",
+                 "members: " + " ".join(payload["members"])]
+        table += [f"context: {' '.join(c)}" for c in payload["cover"]]
+        table += [f"equation: {e}" for e in payload["equations"]]
+        table.append(f"si_avn: {_scalar(payload['si_avn'])}")
     _emit(payload, args, table=table)
     return EXIT_OK
 

@@ -2,6 +2,8 @@
 
 A vector of width w is an int whose bit i is coordinate i. Everything here
 is exact and deterministic; pivots are chosen at the lowest set bit.
+``AffineBasis`` is the one eliminator; only ``pauli._parity_rows`` keeps
+its own, because a product's phase is not GF(2)-linear in its words.
 """
 
 from __future__ import annotations
@@ -11,47 +13,20 @@ def lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def rref(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.
-
-    Returns (reduced nonzero rows sorted by pivot, pivot positions).
-    Each pivot coordinate appears in exactly one row. Rows that arrive
-    reduced and in falling-pivot order cost one pass: no stored row can
-    hold a lower pivot, so nothing is scanned back.
-    """
-    basis: dict[int, int] = {}  # pivot bit -> row
-    pivots = held = 0  # held: the OR of every row stored
-    for r in rows:
-        # stored rows are fully reduced, so r's pivot bits name the rows to add
-        hits = r & pivots
-        while hits:
-            bit = hits & -hits
-            r ^= basis[bit]
-            hits ^= bit
-        if r:
-            bit = r & -r
-            if held & bit:  # some stored row holds the new pivot: clear it there
-                for q, row in basis.items():
-                    if row & bit:
-                        basis[q] = row ^ r
-            basis[bit] = r
-            pivots |= bit
-            held |= r
-    order = sorted(basis)
-    return [basis[b] for b in order], [b.bit_length() - 1 for b in order]
-
-
 def nullspace(rows: list[int], width: int) -> list[int]:
     """Basis of all v with even overlap against every row."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [i for i in range(width) if i not in pivot_set]
+    system = AffineBasis()
+    for r in rows:
+        system.add(r, 0)
+    reduced = system.echelon()
     basis = []
-    for f in free:
+    for f in range(width):
+        if system.pivots >> f & 1:
+            continue
         v = 1 << f
-        for p, row in zip(pivots, reduced):
+        for row in reduced:
             if (row >> f) & 1:
-                v |= 1 << p
+                v |= row & -row
         basis.append(v)
     return basis
 
@@ -64,10 +39,10 @@ class AffineBasis:
     surfaces as the exact subset of inputs summing to 0 = 1.
     """
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows: dict[int, tuple[int, int, int]] = {}  # pivot -> (coef, const, combo)
         self.pivots = 0  # mask of the pivot coordinates
+        self.held = 0  # the OR of every coef stored: no row outside it has a bit set
         self.count = 0
         self.conflict: int | None = None  # combo mask of first 0 = 1 derivation
 
@@ -92,11 +67,18 @@ class AffineBasis:
                 self.conflict = combo
             return
         p = lowest_bit(coef)
-        for q, (qc, qk, qm) in self.rows.items():
-            if (qc >> p) & 1:
-                self.rows[q] = (qc ^ coef, qk ^ const, qm ^ combo)
+        # rows fed in reduced and in falling-pivot order skip this scan
+        if (self.held >> p) & 1:
+            for q, (qc, qk, qm) in self.rows.items():
+                if (qc >> p) & 1:
+                    self.rows[q] = (qc ^ coef, qk ^ const, qm ^ combo)
         self.rows[p] = (coef, const, combo)
         self.pivots |= 1 << p
+        self.held |= coef
+
+    def echelon(self) -> list[int]:
+        """The stored coefs by ascending pivot: the unique reduced echelon basis."""
+        return [self.rows[p][0] for p in sorted(self.rows)]
 
     def solution(self) -> int | None:
         """A satisfying vector with free coordinates zero, or None."""

@@ -12,10 +12,10 @@ row ``r | a << k``, where bit i of r flags the context's i-th member and
 ``a`` is the constant. Each context keeps the reduced echelon basis of its
 rows, ordered by falling pivot (lowest set bit), which is ascending
 coefficient order with 0 = 1 first. Both validating constructors make
-that canonical form on one reducing path, so equality of theories is
-equality of rows. ``LinearTheory.unchecked`` takes rows already in that
-form, as the Pauli parity pass emits them, and neither reduces nor checks
-them. ``LinearEquation`` objects are built only where a caller reads
+that canonical form by reducing through ``gf2.AffineBasis``, so equality
+of theories is equality of rows. ``LinearTheory.unchecked`` takes rows
+already in that form, as the Pauli parity pass emits them, and neither
+reduces nor checks them. ``LinearEquation`` objects are built only where a caller reads
 them: ``equations`` and the certificates of ``is_consistent``.
 """
 
@@ -59,7 +59,7 @@ class LinearEquation:
         return r | self.constant << len(self.coefficients)
 
     def render(self) -> str:
-        return _render(self.context, self.row())
+        return _render_rows(self.context, (self.row(),))[0]
 
     def __str__(self) -> str:
         return self.render()
@@ -83,10 +83,6 @@ def _render_rows(context: Context, rows: Iterable[int]) -> list[str]:
             bits &= bits - 1
         out.append(f"{' + '.join(flagged) or '0'} = {row >> k}")
     return out
-
-
-def _render(context: Context, row: int) -> str:
-    return _render_rows(context, (row,))[0]
 
 
 def satisfies(assignment: Assignment, equation: LinearEquation) -> bool:
@@ -129,11 +125,16 @@ class LinearTheory:
             raise ValidationError("parity equations need a Z2-ringed scenario")
         # the constant rides in bit k: a row reducing to 0 drops out, and one
         # with its pivot there is 0 = 1, which is kept and comes first
-        rows = tuple(tuple(reversed(gf2.rref(list(r))[0])) for r in rows_per_context)
+        rows = []
+        for context_rows in rows_per_context:
+            basis = gf2.AffineBasis()
+            for r in context_rows:
+                basis.add(r, 0)
+            rows.append(tuple(reversed(basis.echelon())))
         if len(rows) != len(scenario.contexts):
             raise ValidationError(f"{len(rows)} row lists for {len(scenario.contexts)} contexts")
         object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def unchecked(cls, scenario: MeasurementScenario,
@@ -228,7 +229,7 @@ def is_consistent(theory: LinearTheory) -> ConsistencyResult:
     """
     labels = theory.scenario.measurements
     index = {m: i for i, m in enumerate(labels)}
-    system = gf2.AffineBasis(len(labels))
+    system = gf2.AffineBasis()
     for ctx, rows in zip(theory.scenario.contexts, theory.rows):
         if not rows:
             continue

@@ -649,25 +649,16 @@ def _replay_tree(
     n: int,
     deriv: dict[int, tuple[int, int] | None],
     memo: dict[int, DeterminingTree],
-) -> DeterminingTree | None:
-    """Replay the derivations of word x; memo starts as the generators' leaves."""
+) -> DeterminingTree:
+    """Replay the derivations of word x; memo starts as the generators' leaves,
+    and every derived word's two parents were found before it."""
     if x in memo:
         return memo[x]
-    parents = deriv[x]
-    if parents is None:
-        return None  # identity over an empty generating set
-    a, b = parents
-    ta = _replay_tree(a, n, deriv, memo)
-    tb = _replay_tree(b, n, deriv, memo)
-    if ta is None or tb is None:
-        return None
-    tree = DeterminingTree(_operator(x, n), (ta, tb))
+    a, b = deriv[x]
+    tree = DeterminingTree(_operator(x, n), (
+        _replay_tree(a, n, deriv, memo), _replay_tree(b, n, deriv, memo)))
     memo[x] = tree
     return tree
-
-
-def _leaves(s: PauliSet) -> dict[int, DeterminingTree]:
-    return {_word(op): DeterminingTree(op) for op in s.members}
 
 
 def _replay_dsets(s: PauliSet, deriv: dict[int, tuple[int, int] | None]) -> dict[int, int]:
@@ -732,13 +723,13 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
     generators = _kl_generators(elements, dsets, n, len(s.members))
 
     # the generator masks, each combination over the generators' indices
-    basis = gf2.AffineBasis(len(s.members))
+    basis = gf2.AffineBasis()
     for g, _ in generators:
         basis.add(g, 0)
 
     elem_set = set(elements)
     sign = 2 << 2 * n  # xor flips the phase by 2, negating the word
-    memo = _leaves(s)
+    memo = {_word(op): DeterminingTree(op) for op in s.members}
     for x in elements:
         neg = x ^ sign
         if neg not in elem_set or neg < x:
@@ -748,8 +739,6 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
             continue
         tree_x = _replay_tree(x, n, deriv, memo)
         tree_neg = _replay_tree(neg, n, deriv, memo)
-        if tree_x is None or tree_neg is None:
-            continue
         for gi, (_, (a, b)) in enumerate(generators):
             if not (combo >> gi) & 1:
                 continue
@@ -767,27 +756,21 @@ def kl_witness(s: PauliSet) -> tuple[DeterminingTree, DeterminingTree] | None:
 
 # ------------------------------------------------------- 4-subset patterns
 
-# Canonical code of a 4-vertex commutation pattern: edge bits in the order
-# (0,1),(0,2),(0,3),(1,2),(1,3),(2,3), minimized over vertex relabelings.
-_EDGE_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PERMS4 = [
-    (a, b, c, d)
-    for a in range(4) for b in range(4) for c in range(4) for d in range(4)
-    if len({a, b, c, d}) == 4
-]
-
+# The 11 graphs on four vertices, up to relabelling, keyed by their sorted
+# degree sequences. No two classes share a sequence, so the sequence names
+# the class of a commutation pattern without trying the 24 relabellings.
 GRAPH_CLASS_NAMES = {
-    0: "empty",
-    1: "single-edge",
-    3: "two-adjacent-edges",
-    7: "three-edge-star",
-    11: "triangle",
-    12: "two-disjoint-edges",
-    13: "three-edge-path",
-    15: "triangle-plus-pendant",
-    30: "four-cycle",
-    31: "diamond",
-    63: "complete",
+    (0, 0, 0, 0): "empty",
+    (0, 0, 1, 1): "single-edge",
+    (0, 1, 1, 2): "two-adjacent-edges",
+    (1, 1, 1, 3): "three-edge-star",
+    (0, 2, 2, 2): "triangle",
+    (1, 1, 1, 1): "two-disjoint-edges",
+    (1, 1, 2, 2): "three-edge-path",
+    (1, 2, 2, 3): "triangle-plus-pendant",
+    (2, 2, 2, 2): "four-cycle",
+    (2, 2, 3, 3): "diamond",
+    (3, 3, 3, 3): "complete",
 }
 
 # Closure-AvN verdict by commutation pattern for 4-element sets without
@@ -809,19 +792,16 @@ PATTERN_TABLE = {
 
 
 def pattern_key(ops: Sequence[PauliOperator]) -> str:
-    """Canonical commutation-pattern name of exactly four operators."""
+    """Class of four operators' commutation graph; identity-like members have no edges."""
     if len(ops) != 4:
         raise ValidationError("pattern keys are defined for 4-element subsets")
-    ordered = sorted(ops, key=_sort_key)
-    best = 63
-    for perm in _PERMS4:
-        code = 0
-        for bit, (i, j) in enumerate(_EDGE_ORDER):
-            a, b = ordered[perm[i]], ordered[perm[j]]
-            if not (a.is_identity_like() or b.is_identity_like()) and a.commutes(b):
-                code |= 1 << bit
-        best = min(best, code)
-    return GRAPH_CLASS_NAMES[best]
+    degrees = [0] * 4
+    for i, j in combinations(range(4), 2):
+        a, b = ops[i], ops[j]
+        if not (a.is_identity_like() or b.is_identity_like()) and a.commutes(b):
+            degrees[i] += 1
+            degrees[j] += 1
+    return GRAPH_CLASS_NAMES[tuple(sorted(degrees))]
 
 
 @dataclass(frozen=True)

@@ -186,9 +186,9 @@ class ScenarioViolation:
 
     def __str__(self) -> str:
         if self.kind == "covering":
-            return f"measurement {self.items[0]!r} belongs to no context"
+            return f"measurement {self.items[0]} is in no context"
         a, b = self.items
-        return f"context {a} is contained in context {b}"
+        return f"context {a.key()} is contained in {b.key()}"
 
 
 def enumerate_assignments(labels: Iterable[Label], outcomes: Iterable[Outcome]) -> tuple[Assignment, ...]:

@@ -188,6 +188,7 @@ def test_hidden_variable_round_trip_exact():
         dist = random_global_mixture(sc, rng)
         hv = to_hidden_variable(dist)
         assert set(hv.prior) == set(dist.weights)
+        assert hv.realized_model() == dist.realized_model()
         back = from_hidden_variable(hv)
         assert back.realized_model() == dist.realized_model()
 

@@ -96,6 +96,8 @@ def test_analyze_rejects_possibilistic_probability_checks(capsys):
 def test_validate_ok(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--corpus", "chsh")
     assert code == 0
+    code, out, err = run(capsys, "validate", "--corpus", "mermin-star")
+    assert code == 0 and "kind: pauli-set" in out.splitlines()
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_dict(chsh_scenario())))
     payload = run_json(capsys, "validate", str(path))
@@ -143,6 +145,18 @@ def test_validate_pins_no_signalling_problem_lines(tmp_path, capsys):
         "problem: no-signaling: {a, b, c} and {b, c, d} give 1/3 vs 0 at 21 on the overlap",
         "problem: no-signaling: {a, d} and {b, c, d} give 1/3 vs 2/3 at 1 on the overlap",
         "problem: no-signaling: {a, d} and {b, c, d} give 1/3 vs 0 at 2 on the overlap",
+    ]
+
+
+def test_validate_pins_covering_and_antichain_lines(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"measurements": ["a", "b", "c", "d"],
+                                "contexts": [["a", "b"], ["a", "b", "c"]]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.splitlines()[3:] == [
+        "problem: covering: measurement d is in no context",
+        "problem: antichain: context a,b is contained in a,b,c",
     ]
 
 
@@ -207,6 +221,11 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 3
     assert err.strip()
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    assert run(capsys, "validate", str(not_an_object))[0] == 3
+    code, out, err = run(capsys, "closure", "XX", "--out", str(tmp_path / "missing" / "out.txt"))
+    assert code == 3 and err.startswith("error: ")
 
 
 def test_comma_labels_and_eleven_outcomes_exit_3(tmp_path, capsys):
@@ -224,6 +243,7 @@ def test_comma_labels_and_eleven_outcomes_exit_3(tmp_path, capsys):
 
 
 def test_usage_errors_exit_64(tmp_path, capsys):
+    assert run(capsys)[0] == 64
     assert run(capsys, "analyze")[0] == 64
     path = tmp_path / "m.json"
     path.write_text(json.dumps(model_to_dict(chsh_model())))

@@ -147,7 +147,7 @@ def reference_is_consistent(theory):
     """The full pass: every equation enters the system before the verdict."""
     labels = theory.scenario.measurements
     index = {m: i for i, m in enumerate(labels)}
-    system = gf2.AffineBasis(len(labels))
+    system = gf2.AffineBasis()
     for e in theory.equations:
         system.add(sum(c << index[m] for m, c in zip(e.context.members, e.coefficients)),
                    e.constant)

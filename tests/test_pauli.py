@@ -3,7 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import attrgetter
 
 import numpy as np
@@ -36,8 +36,6 @@ from contextuality.pauli import (
     CLOSURE_LIMIT,
     GRAPH_CLASS_NAMES,
     PATTERN_TABLE,
-    _EDGE_ORDER,
-    _PERMS4,
     _closure_with_derivations,
     _cover,
     _intransitive,
@@ -278,19 +276,76 @@ def test_pattern_table_against_direct_decision_sampled():
         assert PATTERN_TABLE[pattern_key(subset)] == direct
 
 
+# Reference for pattern_key: a 4-vertex graph's code is its edge bits in
+# EDGE_ORDER, minimised over the 24 relabellings; each class is named by the
+# code of its canonical representative.
+EDGE_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+CLASS_OF_CODE = {
+    0: "empty",
+    1: "single-edge",
+    3: "two-adjacent-edges",
+    7: "three-edge-star",
+    11: "triangle",
+    12: "two-disjoint-edges",
+    13: "three-edge-path",
+    15: "triangle-plus-pendant",
+    30: "four-cycle",
+    31: "diamond",
+    63: "complete",
+}
+
+
+def graph_of_code(code):
+    neighbors = [0] * 4
+    for bit, (i, j) in enumerate(EDGE_ORDER):
+        if code >> bit & 1:
+            neighbors[i] |= 1 << j
+            neighbors[j] |= 1 << i
+    return neighbors
+
+
+def canonical_code(neighbors):
+    return min(sum(1 << bit for bit, (i, j) in enumerate(EDGE_ORDER)
+                   if neighbors[perm[i]] >> perm[j] & 1) for perm in permutations(range(4)))
+
+
+def reference_pattern_key(ops):
+    """The class of the commutation graph by brute-force relabelling;
+    identity-like members have no edges."""
+    neighbors = [sum(1 << j for j, b in enumerate(ops) if j != i and not (
+        a.is_identity_like() or b.is_identity_like()) and a.commutes(b))
+        for i, a in enumerate(ops)]
+    return CLASS_OF_CODE[canonical_code(neighbors)]
+
+
 def test_pattern_table_is_the_rule_on_one_graph_per_class():
     derived = {}
-    for code, name in GRAPH_CLASS_NAMES.items():
-        neighbors = [0] * 4
-        for bit, (i, j) in enumerate(_EDGE_ORDER):
-            if code >> bit & 1:
-                neighbors[i] |= 1 << j
-                neighbors[j] |= 1 << i
-        relabeled = [sum(1 << bit for bit, (i, j) in enumerate(_EDGE_ORDER)
-                         if neighbors[perm[i]] >> perm[j] & 1) for perm in _PERMS4]
-        assert min(relabeled) == code  # the representative is the class's canonical code
+    for code, name in CLASS_OF_CODE.items():
+        neighbors = graph_of_code(code)
+        assert canonical_code(neighbors) == code  # the representative is the class's canonical code
         derived[name] = _intransitive(neighbors, 0b1111)
     assert derived == PATTERN_TABLE
+
+
+def test_pattern_key_matches_relabelling_reference():
+    # the sorted degree sequence names the class of every labelled graph
+    for code in range(64):
+        degrees = tuple(sorted(bin(m).count("1") for m in graph_of_code(code)))
+        assert GRAPH_CLASS_NAMES[degrees] == CLASS_OF_CODE[canonical_code(graph_of_code(code))]
+    # the 1,820 two-qubit 4-sets, identity included, reach 9 classes;
+    # seeded three-qubit draws reach all 11
+    reached = set()
+    for subset in combinations(positive_two_qubit_paulis(), 4):
+        assert pattern_key(subset) == reference_pattern_key(subset), subset
+        reached.add(pattern_key(subset))
+    assert len(reached) == 9
+    rng = random.Random(0)
+    pool = _positive_paulis(3)
+    for _ in range(3000):
+        subset = rng.sample(pool, 4)
+        assert pattern_key(subset) == reference_pattern_key(subset), subset
+        reached.add(pattern_key(subset))
+    assert reached == set(GRAPH_CLASS_NAMES.values())
 
 
 def test_kl_witness_on_corpus_sets():
@@ -797,7 +852,7 @@ def test_affine_basis_gives_the_kl_combination():
             for v in span:
                 g ^= v if rng.random() < 0.5 else 0
             gens.append(g or span[0])
-        basis = gf2.AffineBasis(width)
+        basis = gf2.AffineBasis()
         for g in gens:
             basis.add(g, 0)
         seen["dependent"] += len(basis.rows) < len(gens)
@@ -924,7 +979,7 @@ def test_theory_and_si_avn_against_two_pass_reference():
 
 def reference_parity_rows(words, n):
     """The kernel of the transposed bit matrix, each row's sign recovered by
-    multiplying its words, then one rref."""
+    multiplying its words, then one reduction to echelon form."""
     k = len(words)
     transpose = [sum((w >> bit & 1) << i for i, w in enumerate(words))
                  for bit in range(2 * n)]
@@ -936,7 +991,15 @@ def reference_parity_rows(words, n):
                 prod = _mul(prod, w, n)
         assert prod in (0, 2 << 2 * n)
         rows.append(r | (prod >> 2 * n + 1) << k)
-    return gf2.rref(rows)[0]
+    return echelon(rows)
+
+
+def echelon(rows):
+    """The reduced echelon rows of gf2.AffineBasis, by ascending pivot."""
+    basis = gf2.AffineBasis()
+    for r in rows:
+        basis.add(r, 0)
+    return basis.echelon()
 
 
 def test_parity_rows_against_kernel_reference():
@@ -954,7 +1017,7 @@ def test_parity_rows_against_kernel_reference():
     counts = {"empty": 0, "several": 0, "signed": 0}
     for words, n in contexts:
         rows = _parity_rows(words, n)
-        reduced = gf2.rref(rows)[0]
+        reduced = echelon(rows)
         assert len(reduced) == len(rows)  # the rows are independent
         assert reduced == reference_parity_rows(words, n)
         counts["empty"] += not reduced

@@ -94,8 +94,9 @@ def test_scenario_rejects_undeclared_labels():
 
 def test_validate_reports_covering_and_antichain():
     sc = MeasurementScenario(["a", "b", "c"], [["a"], ["a", "b"]], [0, 1])
-    kinds = sorted(v.kind for v in validate_scenario(sc))
-    assert kinds == ["antichain", "covering"]
+    lines = sorted(f"{v.kind}: {v}" for v in validate_scenario(sc))
+    assert lines == ["antichain: context a is contained in a,b",
+                     "covering: measurement c is in no context"]
     assert validate_scenario(chsh()) == []
 
 
