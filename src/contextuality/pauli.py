@@ -75,13 +75,6 @@ _LETTERS = "IZXY"  # one qubit's letter, indexed by x << 1 | z
 _BITS = {ch: (i >> 1, i & 1) for i, ch in enumerate(_LETTERS)}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True, order=True)
 class PauliOperator:
@@ -159,13 +152,20 @@ class PauliOperator:
         return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix, qubit 0 as the leftmost tensor factor."""
-        out = np.array([[1j ** self.phase]], dtype=complex)
-        for j in range(self.num_qubits):
-            xb, zb = (self.x >> j) & 1, (self.z >> j) & 1
-            word = _SINGLE["X"] @ _SINGLE["Z"] if xb and zb else (
-                _SINGLE["X"] if xb else _SINGLE["Z"] if zb else _SINGLE["I"])
-            out = np.kron(out, word)
+        """Dense matrix, qubit 0 as the leftmost tensor factor.
+
+        A signed permutation: X^x Z^z sends basis vector c to (-1)^|c.z| c^x,
+        with qubit j at bit n-1-j of a basis index, so column c holds
+        i^phase (-1)^|c.z| at row c^x."""
+        n = self.num_qubits
+        x = z = 0
+        for j in range(n):
+            x |= (self.x >> j & 1) << n - 1 - j
+            z |= (self.z >> j & 1) << n - 1 - j
+        unit = 1j ** self.phase
+        out = np.zeros((1 << n, 1 << n), dtype=complex)
+        for c in range(1 << n):
+            out[c ^ x, c] = -unit if (c & z).bit_count() & 1 else unit
         return out
 
 
@@ -428,6 +428,38 @@ def _intransitive(neighbors: list[int], within: int) -> bool:
     return any((closed[b] ^ closed[c]) & outside
                for b in closed if outside >> b & 1
                for c in closed if (neighbors[b] & outside) >> c & 1)
+
+
+def _chordal(neighbors: list[int], within: int) -> bool:
+    """Is the graph ``within`` induces chordal, so that its cover is acyclic?
+
+    Strips simplicial vertices, whose remaining neighbours are pairwise
+    adjacent: such a vertex lies on no chordless cycle of four or more, and
+    every chordal graph has one, so the graph empties exactly when chordal.
+    A hypergraph is acyclic (GYO reduction empties it) exactly when it is
+    conformal and its 2-section is chordal (Beeri, Fagin, Maier and
+    Yannakakis, J. ACM 30, 479, 1983). A graph's maximal cliques are
+    conformal, every clique lying in one, and their 2-section is the graph;
+    an isolated vertex is a one-member context, which both rules drop.
+    """
+    left = within
+    while left:
+        rest = left
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            nbrs = common = others = neighbors[v] & left
+            while others:
+                low = others & -others
+                others ^= low
+                common &= neighbors[low.bit_length() - 1] | low
+            if common == nbrs:  # v's neighbours are pairwise adjacent
+                left ^= bit
+                break
+        else:
+            return False
+    return True
 
 
 def _cover(words: list[int], labels: list[str], n: int) -> list[tuple[Context, list[int]]]:

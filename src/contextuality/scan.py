@@ -5,6 +5,12 @@ all-versus-nothing argument once a set is partially closed. A set that an
 exact rational probe state makes contextual, but whose closure is not AvN,
 is a counterexample. Floats only seed the Bell-facet probes.
 
+Each set is decided on its commutation graph: closure AvN is Kirby-Love
+intransitivity, and the cover is acyclic, so noncontextual for every
+state, exactly when the graph is chordal (``pauli._chordal``). Only the
+other sets get a cover and probe states; a set that is not closure AvN
+always has a chordal graph, so it is never probed.
+
 A cyclic cover is probed until the first state whose exactly realized
 model has no global distribution. On a closure-AvN set the Bell-facet
 eigenvectors are tried first: the report keeps only whether a witness
@@ -29,9 +35,9 @@ import numpy as np
 
 from .analysis import find_global_distribution
 from .errors import ValidationError
-from .pauli import PauliOperator, PauliSet, is_state_independent_avn, scenario_of
+from .pauli import (PauliOperator, PauliSet, _chordal, _neighbors, _word,
+                    is_state_independent_avn, scenario_of)
 from .realize import context_eigenstate, realize_model_exact
-from .scenario import gyo_core
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,9 @@ def _cycle_probes(ops):
             if not all(a.commutes(b) for a in (a1, a2) for b in (b1, b2)):
                 continue
             mats = {p: p.to_matrix() for p in quad}
+            terms = [mats[a1] @ mats[b1], mats[a1] @ mats[b2],
+                     mats[a2] @ mats[b1], mats[a2] @ mats[b2]]
             for minus in range(4):
-                terms = [mats[a1] @ mats[b1], mats[a1] @ mats[b2],
-                         mats[a2] @ mats[b1], mats[a2] @ mats[b2]]
                 facet = sum(-t if i == minus else t for i, t in enumerate(terms))
                 vals, vecs = np.linalg.eigh(facet)
                 top = vecs[:, int(np.argmax(vals))]
@@ -128,8 +134,9 @@ def conjecture_scan(num_qubits: int, set_size: int, *, samples: int, states: int
 
     Every subset with ``exhaustive``, else ``samples`` draws (repeats once) from ``seed``.
     A cyclic cover is probed with ``states`` random rational states besides
-    its context eigenstates and Bell-facet eigenvectors; an acyclic one is
-    noncontextual for every state (``gyo_core``). Bad arguments raise
+    its context eigenstates and Bell-facet eigenvectors. A set whose
+    commutation graph is chordal has an acyclic cover, noncontextual for
+    every state, and gets no cover or probe. Bad arguments raise
     ``ValidationError``. Closure AvN is decided without a closure, so no
     set is skipped.
     """
@@ -144,35 +151,48 @@ def conjecture_scan(num_qubits: int, set_size: int, *, samples: int, states: int
     if k > len(pool):
         raise ValidationError(
             f"set-size {k} exceeds the {len(pool)} positive Pauli words on {n} qubit(s)")
+    labels = [str(op) for op in pool]
+    words = [_word(op) for op in pool]
+    neighbors = _neighbors(words, n)
     rng = random.Random(seed)
+    # sets are tuples of pool indices: sampling a range draws the indices
+    # that sampling the pool would, from the same random stream
     if exhaustive:
         total = math.comb(len(pool), k)
         if total > 20000:
             raise ValidationError(
                 f"exhaustive scan of {total} subsets exceeds the 20000 cap")
-        subsets = list(combinations(pool, k))
+        subsets = combinations(range(len(pool)), k)
     else:
         if not 1 <= samples <= 5000:
             raise ValidationError("samples must be between 1 and 5000")
-        drawn = {tuple(sorted(rng.sample(pool, k), key=str)) for _ in range(samples)}
-        subsets = sorted(drawn, key=lambda ops: tuple(map(str, ops)))
+        drawn = {tuple(sorted(rng.sample(range(len(pool)), k), key=labels.__getitem__))
+                 for _ in range(samples)}
+        subsets = sorted(drawn, key=lambda index: [labels[i] for i in index])
 
-    found = []  # (labels, closure AvN, first witness state or None) per set
-    for subset in subsets:
-        pset = PauliSet(n, subset)
+    found = []  # (pool indices, closure AvN, first witness state or None) per set
+    for index in subsets:
+        pset = PauliSet(n, [pool[i] for i in index])
         avn = is_state_independent_avn(pset, in_closure=True)
-        scenario = scenario_of(pset)
-        cyclic = gyo_core(scenario.contexts)  # acyclic: noncontextual for every state
-        probes = _probe_states(pset, scenario, states, rng, avn) if cyclic else ()
-        witness = next((vec for vec in probes if find_global_distribution(
-            realize_model_exact(vec, scenario)) is None), None)
-        found.append(([str(p) for p in pset.members], avn, witness))
-    counterexamples = [{"paulis": labels, "state": [[str(re), str(im)] for re, im in vec]}
-                       for labels, avn, vec in found if vec is not None and not avn]
+        witness = None
+        # a chordal commutation graph has an acyclic cover: noncontextual for every state
+        if not _chordal(neighbors, sum(1 << i for i in index)):
+            scenario = scenario_of(pset)
+            witness = next((vec for vec in _probe_states(pset, scenario, states, rng, avn)
+                            if find_global_distribution(
+                                realize_model_exact(vec, scenario)) is None), None)
+        found.append((index, avn, witness))
+
+    def members(index):  # labels in member order, which is word order
+        return [labels[i] for i in sorted(index, key=words.__getitem__)]
+
+    counterexamples = [{"paulis": members(index),
+                        "state": [[str(re), str(im)] for re, im in vec]}
+                       for index, avn, vec in found if vec is not None and not avn]
     return ScanResult(
         num_qubits=n, set_size=k, sets_scanned=len(found), sets_skipped=0,
         closure_avn_count=sum(avn for _, avn, _ in found),
         contextual_count=sum(vec is not None for _, _, vec in found),
         counterexamples=counterexamples,
-        unwitnessed_avn=[labels for labels, avn, vec in found if avn and vec is None],
+        unwitnessed_avn=[members(index) for index, avn, vec in found if avn and vec is None],
         conjecture_holds=not counterexamples)

@@ -19,6 +19,7 @@ from contextuality import (
     ContextDistribution,
     EmpiricalModel,
     ParseError,
+    gyo_core,
     model_from_dict,
     model_to_dict,
     scenario_from_dict,
@@ -624,17 +625,16 @@ def test_conjecture_scan_acyclic_skip_changes_no_byte(capsys, monkeypatch):
         ("--max-qubits", "3", "--set-size", "6", "--samples", "6", "--seed", "9",
          "--states", "3"),
     ]
-    real_gyo_core = contextuality.scan.gyo_core
     real_realize = contextuality.scan.realize_model_exact
     real_probe_states = contextuality.scan._probe_states
     realized, probed = [], []
 
     def recording_realize(vec, scenario):
-        realized[-1].append(bool(real_gyo_core(scenario.contexts)))
+        realized[-1].append(bool(gyo_core(scenario.contexts)))
         return real_realize(vec, scenario)
 
     def recording_probe_states(pset, scenario, *args):
-        probed[-1].append(bool(real_gyo_core(scenario.contexts)))
+        probed[-1].append(bool(gyo_core(scenario.contexts)))
         return real_probe_states(pset, scenario, *args)
 
     def scan_all():
@@ -645,8 +645,8 @@ def test_conjecture_scan_acyclic_skip_changes_no_byte(capsys, monkeypatch):
     monkeypatch.setattr("contextuality.scan.realize_model_exact", recording_realize)
     monkeypatch.setattr("contextuality.scan._probe_states", recording_probe_states)
     skipping = scan_all()
-    # every cover counts as cyclic: every set is probed, as before the skip
-    monkeypatch.setattr("contextuality.scan.gyo_core", lambda contexts: tuple(contexts))
+    # no graph counts as chordal: every set is probed, as before the skip
+    monkeypatch.setattr("contextuality.scan._chordal", lambda neighbors, within: False)
     probing = scan_all()
     assert skipping == probing
     assert all(code == 0 for code, _, _ in skipping)
@@ -658,23 +658,23 @@ def test_conjecture_scan_acyclic_skip_changes_no_byte(capsys, monkeypatch):
 
 
 def test_conjecture_scan_exhaustive_2q_pin(capsys, monkeypatch):
-    real_gyo_core = contextuality.scan.gyo_core
-    cores = []
+    real_chordal = contextuality.scan._chordal
+    chordal = []
 
-    def recording_gyo_core(contexts):
-        cores.append(real_gyo_core(contexts))
-        return cores[-1]
+    def recording_chordal(neighbors, within):
+        chordal.append(real_chordal(neighbors, within))
+        return chordal[-1]
 
-    monkeypatch.setattr("contextuality.scan.gyo_core", recording_gyo_core)
+    monkeypatch.setattr("contextuality.scan._chordal", recording_chordal)
     code, out, err = run(capsys, "conjecture-scan", "--max-qubits", "2", "--set-size", "4",
                          "--exhaustive", "--format", "json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a1efd7ae82aa92612a80b6e3c6168f7cd0aa11adbe81ed22e84529a80fd0890d")
-    assert sum(not core for core in cores) == 1275
+    assert sum(chordal) == 1275  # acyclic covers
     # acyclic covers are never probed, so the 90 contextual sets all lie
     # among the 90 cyclic covers: the two sets are equal
-    assert sum(bool(core) for core in cores) == 90
+    assert sum(not c for c in chordal) == 90
     assert json.loads(out)["contextual_count"] == 90
 
 

@@ -36,6 +36,7 @@ from contextuality.pauli import (
     CLOSURE_LIMIT,
     GRAPH_CLASS_NAMES,
     PATTERN_TABLE,
+    _chordal,
     _closure_with_derivations,
     _cover,
     _intransitive,
@@ -52,7 +53,7 @@ from contextuality.pauli import (
 )
 from contextuality.corpus import mermin_square_set, mermin_star_set, xz222_set
 from contextuality.scan import _positive_paulis
-from contextuality.scenario import Context, MeasurementScenario
+from contextuality.scenario import Context, MeasurementScenario, gyo_core
 
 I2 = np.eye(2, dtype=complex)
 MX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -135,6 +136,13 @@ def test_to_matrix_qubit_order():
     # qubit 0 is the leftmost letter, the most significant index bit
     xi = PauliOperator.from_string("XI").to_matrix()
     assert np.allclose(xi, np.kron(MX, I2))
+
+
+def test_to_matrix_against_dense_oracle():
+    for n in (1, 2, 3):
+        for phase, x, z in product(range(4), range(1 << n), range(1 << n)):
+            op = PauliOperator(n, phase, x, z)
+            assert np.array_equal(op.to_matrix(), dense(op)), op
 
 
 def test_pauli_set_canonicalization():
@@ -893,6 +901,42 @@ def test_closure_avn_rule_against_closure_reference():
     assert any(s.num_qubits == 1 for s in signed)
     assert any(op.negate() in s for s in signed for op in s if not op.is_identity_like())
     assert any(op.is_identity_like() for s in signed for op in s)
+
+
+def commutation_graph(s):
+    """Neighbour masks and the vertex mask of a set's non-identity members."""
+    words, _ = _vertices(s)
+    return _neighbors(words, s.num_qubits), (1 << len(words)) - 1
+
+
+def test_chordal_hand_cases():
+    cycle = [0b1010, 0b0101, 0b1010, 0b0101]  # 0-1-2-3-0
+    assert not _chordal(cycle, 0b1111)
+    assert _chordal(cycle, 0b0111)  # a path once a vertex is left out
+    assert _chordal(cycle, 0)
+    chsh = PauliSet.from_strings(["XI", "ZI", "IX", "IZ"])
+    five = PauliSet.from_strings(["IZZ", "XXZ", "IXY", "YIY", "XYY"])
+    triangle = PauliSet.from_strings(["XX", "YY", "ZZ"])
+    assert not _chordal(*commutation_graph(chsh))
+    assert not _chordal(*commutation_graph(five))
+    assert _chordal(*commutation_graph(triangle))
+
+
+def test_chordal_is_the_gyo_verdict_on_the_cover():
+    """A commutation graph is chordal exactly when GYO empties the set's
+    cover, and every set that is not closure AvN is chordal."""
+    rng = random.Random(29)
+    two, three = _positive_paulis(2), _positive_paulis(3)
+    sets = [PauliSet(2, c) for k in range(2, 7) for c in combinations(two, k)]
+    sets += [PauliSet(3, rng.sample(three, k)) for k in range(2, 9) for _ in range(60)]
+    cyclic = {2: 0, 3: 0}
+    for s in sets:
+        chordal = _chordal(*commutation_graph(s))
+        assert chordal == (not gyo_core(scenario_of(s).contexts)), s.labels()
+        assert chordal or is_state_independent_avn(s, in_closure=True), s.labels()
+        cyclic[s.num_qubits] += not chordal
+    # 2 qubits: 90, 942 and 3,550 cyclic covers at k = 4, 5 and 6
+    assert cyclic == {2: 4582, 3: 143}
 
 
 def test_four_closure_avn_verdicts_agree():
